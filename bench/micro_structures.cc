@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the real data structures the
 // control plane runs on: the DRAM B+Tree, the circular hugeblock pool,
-// and operation-log record encode/append (with and without coalescing).
+// microfs block mapping, and operation-log record encode/append (with
+// and without coalescing).
 // These measure host CPU, not simulated time — they justify the
 // control-plane cost constants used by the simulation.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "hw/ram_device.h"
 #include "microfs/block_pool.h"
 #include "microfs/bptree.h"
+#include "microfs/microfs.h"
 #include "microfs/oplog.h"
 #include "simcore/engine.h"
 
@@ -72,6 +75,42 @@ void BM_BlockPoolAllocFree(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BlockPoolAllocFree);
+
+void BM_MicroFsExtendUnlink(benchmark::State& state) {
+  // One ckpt_weak448 rank checkpoint through the hugeblock map: a 156 MiB
+  // file extended by 4 MiB tagged writes on an instant RAM device, then
+  // unlinked. ns_per_hugeblock tracks the microfs block-bookkeeping cost
+  // center (map extension, pool runs). Device commands are batched as in
+  // the paper-scale runs (bench_util.h), so they do not swamp it.
+  constexpr uint64_t kFile = 156_MiB;
+  constexpr uint64_t kCall = 4_MiB;
+  sim::Engine eng;
+  hw::RamDevice dev(256_MiB);
+  Options options;
+  options.io_batch_hugeblocks = 256;
+  auto fs = eng.run_task(MicroFs::format(eng, dev, options)).value();
+  const uint64_t hugeblocks = kFile / fs->options().hugeblock_size;
+  double ns = 0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    eng.run_task([](MicroFs& m) -> sim::Task<void> {
+      auto fd = co_await m.creat("/rank.ckpt");
+      NVMECR_CHECK(fd.ok());
+      for (uint64_t off = 0; off < kFile; off += kCall) {
+        NVMECR_CHECK((co_await m.write_tagged(*fd, kCall)).ok());
+      }
+      NVMECR_CHECK((co_await m.close(*fd)).ok());
+      NVMECR_CHECK((co_await m.unlink("/rank.ckpt")).ok());
+    }(*fs));
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - t0)
+              .count();
+  }
+  state.counters["ns_per_hugeblock"] =
+      ns / (static_cast<double>(hugeblocks) *
+            static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_MicroFsExtendUnlink)->Unit(benchmark::kMillisecond);
 
 void BM_LogRecordEncode(benchmark::State& state) {
   LogRecord rec;

@@ -27,6 +27,7 @@
 
 #include "chaos/campaign.h"
 #include "chaos/daly.h"
+#include "workloads/apps.h"
 
 using namespace nvmecr;
 using namespace nvmecr::chaos;
@@ -146,6 +147,16 @@ int main(int argc, char** argv) {
     }
   }
   if (cli.ranks == 0 || cli.epochs == 0 || cli.schedules == 0) {
+    return usage(argv[0]);
+  }
+  if (workloads::find_app(cli.app) == nullptr) {
+    std::string names;
+    for (const workloads::AppSpec& spec : workloads::app_registry()) {
+      names += names.empty() ? "" : ", ";
+      names += spec.name;
+    }
+    std::fprintf(stderr, "%s: unknown --app '%s'; valid names: %s\n", argv[0],
+                 cli.app.c_str(), names.c_str());
     return usage(argv[0]);
   }
   if (cli.quick) cli.schedules = 50;

@@ -33,6 +33,14 @@ std::string join(const std::string& dir, const std::string& name) {
   return dir.empty() ? "/" + name : dir + "/" + name;
 }
 
+/// Entry name `kind` + id ("f12", "d3"). Built by append: GCC 12 at -O3
+/// misreports a one-character literal + std::string as -Wrestrict.
+std::string entry_name(char kind, uint64_t id) {
+  std::string name(1, kind);
+  name += std::to_string(id);
+  return name;
+}
+
 }  // namespace
 
 sim::Task<StatusOr<uint32_t>> run_workload(MicroFs& fs,
@@ -99,7 +107,7 @@ sim::Task<StatusOr<uint32_t>> run_workload(MicroFs& fs,
         const std::string& dir =
             model.dirs[rng.uniform(model.dirs.size())];
         ModelFile f;
-        f.path = join(dir, "f" + std::to_string(model.next_id++));
+        f.path = join(dir, entry_name('f', model.next_id++));
         f.tagged = rng.uniform(2) == 0;
         auto fd = co_await fs.creat(f.path);
         NVMECR_CO_RETURN_IF_ERROR(fd.status());
@@ -161,7 +169,7 @@ sim::Task<StatusOr<uint32_t>> run_workload(MicroFs& fs,
         const std::string& dir =
             model.dirs[rng.uniform(model.dirs.size())];
         const std::string to =
-            join(dir, "f" + std::to_string(model.next_id++));
+            join(dir, entry_name('f', model.next_id++));
         NVMECR_CO_RETURN_IF_ERROR(co_await fs.rename(f.path, to));
         f.path = to;
         break;
@@ -170,7 +178,7 @@ sim::Task<StatusOr<uint32_t>> run_workload(MicroFs& fs,
         const std::string& parent =
             model.dirs[rng.uniform(model.dirs.size())];
         const std::string dir =
-            join(parent, "d" + std::to_string(model.next_id++));
+            join(parent, entry_name('d', model.next_id++));
         NVMECR_CO_RETURN_IF_ERROR(co_await fs.mkdir(dir));
         model.dirs.push_back(dir);
         break;

@@ -6,6 +6,12 @@
 // *deterministic* allocation order: replaying the operation log re-issues
 // the same allocations in the same order and reconstructs the identical
 // block assignment (§III-E "Metadata Provenance").
+//
+// Allocation and free work on runs: alloc_run/free_run move n ids at
+// once and update the allocation bitmap a 64-bit word at a time, but the
+// ids, their order and every error are exactly those of n single-block
+// calls (DESIGN.md §11 "Run-based hugeblock bookkeeping"). alloc()/free()
+// are the n = 1 case.
 #pragma once
 
 #include <cstdint>
@@ -22,46 +28,37 @@ class BlockPool {
   explicit BlockPool(uint64_t block_count) { reset(block_count); }
 
   /// Re-initializes with all `block_count` blocks free, in index order.
-  void reset(uint64_t block_count) {
-    ring_.resize(block_count);
-    for (uint64_t i = 0; i < block_count; ++i) ring_[i] = i;
-    head_ = 0;
-    live_ = block_count;
-    total_ = block_count;
-    allocated_.assign(block_count, false);
-  }
+  void reset(uint64_t block_count);
 
-  /// O(1) allocation from the ring head.
+  /// Allocates `out.size()` blocks from the ring head into `out`: the ids
+  /// that as many alloc() calls would return, in the same order. If
+  /// fewer blocks are free, the first free_count() entries are filled,
+  /// the rest are left untouched, and kNoSpace is returned — the state
+  /// the single calls would leave behind.
+  Status alloc_run(std::span<uint64_t> out);
+
+  /// Frees `blocks` to the ring tail in order. Stops at the first id that
+  /// is out of range (kInvalidArgument) or not allocated (kInternal,
+  /// double free); the ids before it stay freed.
+  Status free_run(std::span<const uint64_t> blocks);
+
   StatusOr<uint64_t> alloc() {
-    if (live_ == 0) return NoSpaceError("hugeblock pool exhausted");
-    const uint64_t block = ring_[head_];
-    head_ = (head_ + 1) % ring_.size();
-    --live_;
-    NVMECR_CHECK(!allocated_[block]);
-    allocated_[block] = true;
+    uint64_t block = 0;
+    NVMECR_RETURN_IF_ERROR(alloc_run({&block, 1}));
     return block;
   }
-
-  /// O(1) free to the ring tail.
-  Status free(uint64_t block) {
-    if (block >= total_) return InvalidArgumentError("block out of range");
-    if (!allocated_[block]) return InternalError("double free of hugeblock");
-    allocated_[block] = false;
-    ring_[(head_ + live_) % ring_.size()] = block;
-    ++live_;
-    return OkStatus();
-  }
+  Status free(uint64_t block) { return free_run({&block, 1}); }
 
   uint64_t free_count() const { return live_; }
   uint64_t total() const { return total_; }
   uint64_t allocated_count() const { return total_ - live_; }
   bool is_allocated(uint64_t block) const {
-    return block < total_ && allocated_[block];
+    return block < total_ && ((allocated_[block >> 6] >> (block & 63)) & 1);
   }
 
   /// Approximate DRAM footprint (Table I accounting).
   size_t memory_footprint() const {
-    return ring_.size() * sizeof(uint64_t) + allocated_.size() / 8;
+    return ring_.size() * sizeof(uint64_t) + total_ / 8;
   }
 
   // --- serialization into the internal state checkpoint ---------------
@@ -74,7 +71,7 @@ class BlockPool {
   uint64_t head_ = 0;
   uint64_t live_ = 0;
   uint64_t total_ = 0;
-  std::vector<bool> allocated_;
+  std::vector<uint64_t> allocated_;  // bit b of word b/64; bits >= total_ are 0
 };
 
 }  // namespace nvmecr::microfs

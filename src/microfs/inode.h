@@ -35,6 +35,10 @@ struct Inode {
   ContentKind content = ContentKind::kNone;
   /// Hugeblock indexes, one per hugeblock_size of file extent.
   std::vector<uint64_t> blocks;
+  /// DRAM-only: every entry of blocks[0, mapped) is allocated, so block
+  /// mapping only inspects the tail. Not serialized; reset to 0 wherever
+  /// `blocks` is cleared or restored.
+  uint64_t mapped = 0;
 
   void serialize(Encoder& enc) const {
     enc.u64(ino);
@@ -63,6 +67,7 @@ struct Inode {
     type = static_cast<InodeType>(t);
     content = static_cast<ContentKind>(c);
     blocks.resize(nblocks);
+    mapped = 0;
     for (auto& b : blocks) NVMECR_RETURN_IF_ERROR(dec.u64(b));
     return OkStatus();
   }

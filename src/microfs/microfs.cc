@@ -203,26 +203,64 @@ void MicroFs::record_serialize(SimDuration d) {
 // ---------------------------------------------------------------------
 
 Status MicroFs::ensure_blocks(Inode& inode, uint64_t end) {
-  const uint64_t B = options_.hugeblock_size;
-  const uint64_t needed = ceil_div(end, B);
+  const uint64_t needed = ceil_div(end, options_.hugeblock_size);
+  if (needed <= inode.mapped) return OkStatus();
   if (needed > inode.blocks.size()) {
     inode.blocks.resize(needed, kInvalidBlock);
   }
-  uint64_t new_blocks = 0;
-  for (uint64_t i = 0; i < needed; ++i) {
-    if (inode.blocks[i] == kInvalidBlock) {
-      auto block = pool_.alloc();
-      if (!block.ok()) return block.status();
-      inode.blocks[i] = *block;
-      ++pool_version_;
-      ++new_blocks;
+  // Only the tail past the mapped prefix can hold holes; each run of
+  // holes takes one pool call, in hugeblock-index order.
+  const std::span<uint64_t> blocks(inode.blocks);
+  const uint64_t free_before = pool_.free_count();
+  Status s = OkStatus();
+  for (uint64_t i = inode.mapped; i < needed && s.ok();) {
+    if (blocks[i] != kInvalidBlock) {
+      ++i;
+      continue;
     }
+    uint64_t j = i + 1;
+    while (j < needed && blocks[j] == kInvalidBlock) ++j;
+    s = pool_.alloc_run(blocks.subspan(i, j - i));
+    i = j;
   }
+  const uint64_t new_blocks = free_before - pool_.free_count();
+  pool_version_ += new_blocks;
+  if (!s.ok()) return s;
+  inode.mapped = needed;
   if (new_blocks > 0 && m_pool_allocs_ != nullptr) {
     m_pool_allocs_->add(new_blocks);
     m_pool_occupancy_->set(engine_.now(),
                            static_cast<double>(pool_.allocated_count()));
   }
+  return OkStatus();
+}
+
+Status MicroFs::release_blocks(Inode& inode) {
+  // File order, one pool call per run between holes (a NoSpace-failed
+  // extension leaves unmapped entries behind).
+  const std::span<const uint64_t> blocks(inode.blocks);
+  const uint64_t free_before = pool_.free_count();
+  Status s = OkStatus();
+  for (uint64_t i = 0; i < blocks.size() && s.ok();) {
+    if (blocks[i] == kInvalidBlock) {
+      ++i;
+      continue;
+    }
+    uint64_t j = i + 1;
+    while (j < blocks.size() && blocks[j] != kInvalidBlock) ++j;
+    s = pool_.free_run(blocks.subspan(i, j - i));
+    i = j;
+  }
+  const uint64_t freed = pool_.free_count() - free_before;
+  pool_version_ += freed;
+  if (!s.ok()) return s;
+  if (freed > 0 && m_pool_frees_ != nullptr) {
+    m_pool_frees_->add(freed);
+    m_pool_occupancy_->set(engine_.now(),
+                           static_cast<double>(pool_.allocated_count()));
+  }
+  inode.blocks.clear();
+  inode.mapped = 0;
   return OkStatus();
 }
 
@@ -505,20 +543,7 @@ sim::Task<StatusOr<int>> MicroFs::open(const std::string& path,
     if (flags.truncate && inode->size > 0) {
       // Truncation is logged as a CREATE of the same ino (replay resets
       // the file), and frees the data blocks in deterministic order.
-      uint64_t freed = 0;
-      for (uint64_t b : inode->blocks) {
-        if (b != kInvalidBlock) {
-          NVMECR_CO_RETURN_IF_ERROR(pool_.free(b));
-          ++pool_version_;
-          ++freed;
-        }
-      }
-      if (freed > 0 && m_pool_frees_ != nullptr) {
-        m_pool_frees_->add(freed);
-        m_pool_occupancy_->set(engine_.now(),
-                               static_cast<double>(pool_.allocated_count()));
-      }
-      inode->blocks.clear();
+      NVMECR_CO_RETURN_IF_ERROR(release_blocks(*inode));
       inode->size = 0;
       inode->content = ContentKind::kNone;
       coalesce_candidates_.erase(ino);
@@ -581,19 +606,7 @@ sim::Task<Status> MicroFs::unlink(const std::string& path) {
   rec.psize = inodes_.get(parent_ino)->size;
   NVMECR_CO_RETURN_IF_ERROR(co_await log_op(rec, *inode));
 
-  uint64_t freed = 0;
-  for (uint64_t b : inode->blocks) {
-    if (b != kInvalidBlock) {
-      NVMECR_CO_RETURN_IF_ERROR(pool_.free(b));
-      ++pool_version_;
-      ++freed;
-    }
-  }
-  if (freed > 0 && m_pool_frees_ != nullptr) {
-    m_pool_frees_->add(freed);
-    m_pool_occupancy_->set(engine_.now(),
-                           static_cast<double>(pool_.allocated_count()));
-  }
+  NVMECR_CO_RETURN_IF_ERROR(release_blocks(*inode));
   coalesce_candidates_.erase(ino);
   paths_.erase(path);
   if (m_bptree_ops_ != nullptr) m_bptree_ops_->add();
@@ -678,6 +691,14 @@ StatusOr<FileStat> MicroFs::stat(const std::string& path) const {
   st.mode = inode->mode;
   st.uid = inode->uid;
   return st;
+}
+
+StatusOr<std::vector<uint64_t>> MicroFs::block_map(
+    const std::string& path) const {
+  NVMECR_RETURN_IF_ERROR(validate_path(path));
+  const Ino* ino = paths_.find(path);
+  if (ino == nullptr) return NotFoundError(path);
+  return inodes_.get(*ino)->blocks;
 }
 
 StatusOr<std::vector<std::string>> MicroFs::readdir(
@@ -1043,10 +1064,7 @@ Status MicroFs::replay_record(const LogRecord& rec,
       if (existing != nullptr) {
         if (rec.psize == 0) {
           // Truncation record: reset the file, freeing blocks in order.
-          for (uint64_t b : existing->blocks) {
-            if (b != kInvalidBlock) NVMECR_RETURN_IF_ERROR(pool_.free(b));
-          }
-          existing->blocks.clear();
+          NVMECR_RETURN_IF_ERROR(release_blocks(*existing));
           existing->size = 0;
           existing->content = ContentKind::kNone;
           existing->seed = rec.b;
@@ -1090,9 +1108,7 @@ Status MicroFs::replay_record(const LogRecord& rec,
       // Mirror the live order: tombstone growth (possible parent block
       // allocation) happened before the file's blocks were freed.
       NVMECR_RETURN_IF_ERROR(replay_dirent_growth(rec.parent, rec.psize));
-      for (uint64_t b : inode->blocks) {
-        if (b != kInvalidBlock) NVMECR_RETURN_IF_ERROR(pool_.free(b));
-      }
+      NVMECR_RETURN_IF_ERROR(release_blocks(*inode));
       auto it = ino_paths.find(rec.ino);
       if (it != ino_paths.end()) {
         paths_.erase(it->second);

@@ -178,6 +178,9 @@ class MicroFs {
   StatusOr<FileStat> stat(const std::string& path) const;
   /// Names of the live entries directly under `path`.
   StatusOr<std::vector<std::string>> readdir(const std::string& path) const;
+  /// Hugeblock indexes backing `path`, in file order (UINT64_MAX marks
+  /// an entry a failed extension left unmapped). For audits and tests.
+  StatusOr<std::vector<uint64_t>> block_map(const std::string& path) const;
 
   // --- data plane -------------------------------------------------------
   /// Appends real bytes at the fd's cursor.
@@ -285,6 +288,11 @@ class MicroFs {
   /// Ensures hugeblocks cover file bytes [0, end); allocates from the
   /// circular pool in hugeblock-index order (replay-deterministic).
   Status ensure_blocks(Inode& inode, uint64_t end);
+  /// Returns all of `inode`'s hugeblocks to the pool in file order and
+  /// clears its block map (truncate, unlink and their replays; during
+  /// replay no coalescing candidate exists, so the pool_version_ bump is
+  /// inert there).
+  Status release_blocks(Inode& inode);
   uint64_t device_offset(const Inode& inode, uint64_t file_off) const;
 
   /// Issues tagged device IO in hugeblock units over the file range

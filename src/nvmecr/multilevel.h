@@ -86,7 +86,11 @@ class MultiLevelRouter {
   /// failover (healed > degraded) view, then reconstruction, then the
   /// PFS tier. Restart walks it until one source serves the checkpoint.
   std::vector<baselines::StorageClient*> recovery_chain() {
-    std::vector<baselines::StorageClient*> chain{&fast_};
+    // Not `chain{&fast_}`: GCC 12 under UBSan misreports the growth
+    // from a one-element init list as -Warray-bounds.
+    std::vector<baselines::StorageClient*> chain;
+    chain.reserve(4);
+    chain.push_back(&fast_);
     if (failover_ != nullptr) chain.push_back(failover_);
     if (reconstructed_ != nullptr) chain.push_back(reconstructed_);
     chain.push_back(&pfs_);

@@ -22,9 +22,9 @@
 //      run's events live (e2e.ring_hit_frac measured 0.0023 — almost
 //      everything is a real future timestamp).
 //   3. Binary min-heap — timestamps beyond the calendar window. The
-//      window rotates onto the heap's earliest bucket whenever the
-//      calendar drains, pulling everything below the new window limit
-//      back down into buckets.
+//      window re-anchors at the current time whenever the calendar
+//      drains, pulling everything below the new window limit back down
+//      into buckets.
 //
 // The global insertion sequence keeps the dispatch order bit-identical
 // to a single (time, seq) priority queue across all three tiers:
@@ -227,7 +227,7 @@ class Engine {
 
  private:
   static constexpr size_t kInitialCapacity = 256;
-  // Calendar geometry: 4096 ns buckets x 2048 buckets ≈ an 8.4 ms
+  // Calendar geometry: 16.384 µs buckets x 512 buckets ≈ an 8.4 ms
   // window, sized so a checkpoint epoch's fabric/SSD completions (µs to
   // low ms ahead of now) land in buckets while rare long sleeps
   // (health-monitor periods, PFS drains) overflow to the heap.
@@ -321,7 +321,7 @@ class Engine {
 
   void cal_settle();             // refill cal_cur_ from buckets / heap
   void cal_mature_next();        // sort the next occupied bucket into cal_cur_
-  void cal_rotate();             // re-window onto the heap's earliest bucket
+  void cal_rotate();             // re-window onto the current time
   void cal_insert_sorted(Item item);
 
   // (std::priority_queue hides its container, which prevents reserving

@@ -7,7 +7,10 @@
 // to the profiler on dispatch. One steady_clock read per event (the
 // interval [dispatch N, dispatch N+1) is charged to event N's tag), so
 // an armed profiler costs a single clock read plus two array updates
-// per event — and an unarmed one costs one branch.
+// per event — and an unarmed one costs one branch. A ProfileTagScope
+// entered or left inside that interval splits it with one more clock
+// read (retag()): the part after a tagged child coroutine returns bills
+// to the caller that runs it, not to the child's tag that woke it.
 //
 // The context word encodes three orthogonal facts:
 //
@@ -61,6 +64,20 @@ class DispatchProfiler {
     Bucket& b = buckets_[tag];
     ++b.dispatches;
     b.ring_hits += from_ring ? 1 : 0;
+  }
+
+  /// Closes the open accounting window and reopens it under `ctx`'s tag
+  /// without counting a dispatch. ProfileTagScope entry and exit call
+  /// it, so the work a coroutine does inside a scope — and after a tagged
+  /// child it awaited returns — bills to the scope that runs it, not to
+  /// the event that woke it. No-op outside the run loop.
+  void retag(uint32_t ctx) {
+    if (!open_) return;
+    const uint64_t now = now_ns();
+    buckets_[last_tag_].wall_ns += now - last_ns_;
+    last_ns_ = now;
+    const uint16_t tag = static_cast<uint16_t>(ctx & profile_ctx::kTagMask);
+    last_tag_ = tag < buckets_.size() ? tag : 0;
   }
 
   /// Closes the open attribution window (call when the run loop exits;
@@ -125,22 +142,36 @@ namespace nvmecr::sim {
 /// a no-op beyond the save/restore of one word. Safe to hold across
 /// co_await: each scheduled event captures the context at schedule time
 /// and dispatch restores it, so suspension cannot leak the tag into
-/// other tasks.
+/// other tasks. Entry and exit also retag the profiler's open window
+/// (when the tag changes), so host time between them bills to this
+/// scope and time after it to the enclosing one.
 class ProfileTagScope {
  public:
   ProfileTagScope(Engine& engine, uint16_t tag)
-      : engine_(engine), saved_(engine.profile_ctx()) {
-    if (tag != 0) {
-      engine.set_profile_ctx((saved_ & ~profile_ctx::kTagMask) | tag);
+      : engine_(engine),
+        saved_(engine.profile_ctx()),
+        retag_(tag != 0 && (saved_ & profile_ctx::kTagMask) != tag) {
+    if (retag_) {
+      const uint32_t ctx = (saved_ & ~profile_ctx::kTagMask) | tag;
+      engine.set_profile_ctx(ctx);
+      retag(ctx);
     }
   }
-  ~ProfileTagScope() { engine_.set_profile_ctx(saved_); }
+  ~ProfileTagScope() {
+    engine_.set_profile_ctx(saved_);
+    if (retag_) retag(saved_);
+  }
   ProfileTagScope(const ProfileTagScope&) = delete;
   ProfileTagScope& operator=(const ProfileTagScope&) = delete;
 
  private:
+  void retag(uint32_t ctx) {
+    if (DispatchProfiler* p = engine_.profiler()) p->retag(ctx);
+  }
+
   Engine& engine_;
   uint32_t saved_;
+  bool retag_;
 };
 
 /// Stamps `rank` into the context's high half so the epoch critical-path

@@ -80,7 +80,9 @@ TEST(ScheduleTest, EventsRespectBoundsAndOrdering) {
       } else {
         EXPECT_GE(e.at, 0);
         EXPECT_LT(e.at, p.horizon);
-        if (e.until != 0) EXPECT_GT(e.until, e.at);  // 0 = permanent
+        if (e.until != 0) {
+          EXPECT_GT(e.until, e.at);  // 0 = permanent
+        }
       }
       if (i > 0 && s.events[i - 1].kind != FaultKind::kJobKill &&
           e.kind != FaultKind::kJobKill) {

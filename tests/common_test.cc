@@ -80,8 +80,8 @@ TEST(StatusTest, AllCodesHaveNames) {
 TEST(StatusOrTest, HoldsValue) {
   StatusOr<int> v = 42;
   ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, 42);
   EXPECT_TRUE(v.status().ok());
+  EXPECT_EQ(*v, 42);
 }
 
 TEST(StatusOrTest, HoldsError) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -10,6 +12,7 @@
 #include "microfs/block_pool.h"
 #include "microfs/dirfile.h"
 #include "microfs/inode.h"
+#include "microfs/microfs.h"
 #include "microfs/oplog.h"
 #include "simcore/engine.h"
 
@@ -110,6 +113,299 @@ TEST(BlockPoolTest, DeserializeRejectsCorruption) {
 }
 
 // ---------------------------------------------------------------------
+// BlockPool run path vs a per-block reference
+// ---------------------------------------------------------------------
+
+// The pool as it was before runs: one ring slot and one bitmap bit per
+// call. The run path must reproduce its ids, errors and serialized bytes.
+struct RefPool {
+  std::vector<uint64_t> ring;
+  uint64_t head = 0, live = 0;
+  std::vector<bool> allocated;
+
+  explicit RefPool(uint64_t n) : ring(n), live(n), allocated(n, false) {
+    for (uint64_t i = 0; i < n; ++i) ring[i] = i;
+  }
+  StatusOr<uint64_t> alloc() {
+    if (live == 0) return NoSpaceError("hugeblock pool exhausted");
+    const uint64_t b = ring[head];
+    head = (head + 1) % ring.size();
+    --live;
+    allocated[b] = true;
+    return b;
+  }
+  Status free(uint64_t b) {
+    if (b >= ring.size()) return InvalidArgumentError("block out of range");
+    if (!allocated[b]) return InternalError("double free of hugeblock");
+    allocated[b] = false;
+    ring[(head + live) % ring.size()] = b;
+    ++live;
+    return OkStatus();
+  }
+  // n single calls; stops at the first error like a run does.
+  Status alloc_n(std::span<uint64_t> out) {
+    for (uint64_t& b : out) {
+      auto r = alloc();
+      if (!r.ok()) return r.status();
+      b = *r;
+    }
+    return OkStatus();
+  }
+  Status free_n(std::span<const uint64_t> ids) {
+    for (uint64_t b : ids) NVMECR_RETURN_IF_ERROR(free(b));
+    return OkStatus();
+  }
+  std::vector<std::byte> serialize() const {
+    std::vector<std::byte> out;
+    Encoder enc(out);
+    enc.u64(ring.size());
+    enc.u64(head);
+    enc.u64(live);
+    for (uint64_t v : ring) enc.u64(v);
+    for (uint64_t i = 0; i < ring.size(); i += 64) {
+      uint64_t word = 0;
+      for (uint64_t b = 0; b < 64 && i + b < ring.size(); ++b) {
+        if (allocated[i + b]) word |= 1ull << b;
+      }
+      enc.u64(word);
+    }
+    return out;
+  }
+};
+
+void expect_same_state(const BlockPool& pool, const RefPool& ref) {
+  EXPECT_EQ(pool.free_count(), ref.live);
+  std::vector<std::byte> bytes;
+  pool.serialize(bytes);
+  EXPECT_EQ(bytes, ref.serialize());
+}
+
+TEST(BlockPoolRunTest, RandomRunsMatchPerBlockReference) {
+  // 203 blocks: the bitmap's last word is partial, and runs straddle
+  // word boundaries.
+  constexpr uint64_t kBlocks = 203;
+  constexpr uint64_t kUnset = ~0ull - 1;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    BlockPool pool(kBlocks);
+    RefPool ref(kBlocks);
+    Rng rng(seed);
+    std::vector<uint64_t> live;  // allocation order
+    for (int step = 0; step < 400; ++step) {
+      if (live.empty() || rng.uniform(2) == 0) {
+        // Up to 80 at once: sometimes more than is free.
+        std::vector<uint64_t> got(1 + rng.uniform(80), kUnset);
+        std::vector<uint64_t> want(got.size(), kUnset);
+        const Status s = pool.alloc_run(got);
+        const Status r = ref.alloc_n(want);
+        ASSERT_EQ(s.code(), r.code()) << "seed " << seed << " step " << step;
+        ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+        for (uint64_t b : got) {
+          if (b != kUnset) live.push_back(b);
+        }
+      } else {
+        // Free a slice of the live list, whole file extents being the
+        // common case, sometimes reversed so runs break up.
+        const size_t from = rng.uniform(live.size());
+        const size_t n = 1 + rng.uniform(live.size() - from);
+        std::vector<uint64_t> ids(live.begin() + static_cast<ptrdiff_t>(from),
+                                  live.begin() +
+                                      static_cast<ptrdiff_t>(from + n));
+        if (rng.uniform(4) == 0) std::reverse(ids.begin(), ids.end());
+        live.erase(live.begin() + static_cast<ptrdiff_t>(from),
+                   live.begin() + static_cast<ptrdiff_t>(from + n));
+        ASSERT_TRUE(pool.free_run(ids).ok());
+        ASSERT_TRUE(ref.free_n(ids).ok());
+      }
+      expect_same_state(pool, ref);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(BlockPoolRunTest, RunEqualsSingleCalls) {
+  BlockPool runs(100), singles(100);
+  std::vector<uint64_t> a(70), b;
+  ASSERT_TRUE(runs.alloc_run(a).ok());
+  for (int i = 0; i < 70; ++i) b.push_back(*singles.alloc());
+  EXPECT_EQ(a, b);
+  const std::span<const uint64_t> back(a.data() + 10, 40);
+  ASSERT_TRUE(runs.free_run(back).ok());
+  for (uint64_t id : back) ASSERT_TRUE(singles.free(id).ok());
+  std::vector<uint64_t> c(60), d;
+  ASSERT_TRUE(runs.alloc_run(c).ok());
+  for (int i = 0; i < 60; ++i) d.push_back(*singles.alloc());
+  EXPECT_EQ(c, d);
+  std::vector<std::byte> x, y;
+  runs.serialize(x);
+  singles.serialize(y);
+  EXPECT_EQ(x, y);
+}
+
+TEST(BlockPoolRunTest, RingWraparound) {
+  BlockPool pool(10);
+  RefPool ref(10);
+  std::vector<uint64_t> first(8), want(8);
+  ASSERT_TRUE(pool.alloc_run(first).ok());
+  ASSERT_TRUE(ref.alloc_n(want).ok());
+  // Frees land at ring slots 0..5 after the tail wraps past slot 9.
+  const std::vector<uint64_t> freed{0, 1, 2, 3, 4, 5};
+  ASSERT_TRUE(pool.free_run(freed).ok());
+  ASSERT_TRUE(ref.free_n(freed).ok());
+  // The window [8, 10) + [0, 6) wraps: 8, 9, then the recycled ids.
+  std::vector<uint64_t> got(7), expect(7);
+  ASSERT_TRUE(pool.alloc_run(got).ok());
+  ASSERT_TRUE(ref.alloc_n(expect).ok());
+  EXPECT_EQ(got, (std::vector<uint64_t>{8, 9, 0, 1, 2, 3, 4}));
+  EXPECT_EQ(got, expect);
+  expect_same_state(pool, ref);
+}
+
+TEST(BlockPoolRunTest, ExhaustionMidRunLeavesSinglesPartialMap) {
+  constexpr uint64_t kUnset = ~0ull;
+  BlockPool pool(8);
+  RefPool ref(8);
+  std::vector<uint64_t> got(3), want(3);
+  ASSERT_TRUE(pool.alloc_run(got).ok());
+  ASSERT_TRUE(ref.alloc_n(want).ok());
+  std::vector<uint64_t> map(12, kUnset), ref_map(12, kUnset);
+  const Status s = pool.alloc_run(map);
+  const Status r = ref.alloc_n(ref_map);
+  EXPECT_EQ(s.code(), ErrorCode::kNoSpace);
+  EXPECT_EQ(r.code(), ErrorCode::kNoSpace);
+  EXPECT_EQ(map, ref_map);
+  EXPECT_EQ(map, (std::vector<uint64_t>{3, 4, 5, 6, 7, kUnset, kUnset, kUnset,
+                                        kUnset, kUnset, kUnset, kUnset}));
+  EXPECT_EQ(pool.free_count(), 0u);
+  expect_same_state(pool, ref);
+  // Nothing free: a run fails without touching its output.
+  std::vector<uint64_t> none(2, kUnset);
+  EXPECT_EQ(pool.alloc_run(none).code(), ErrorCode::kNoSpace);
+  EXPECT_EQ(none, (std::vector<uint64_t>{kUnset, kUnset}));
+}
+
+TEST(BlockPoolRunTest, BadFreesRejectedAfterFreeingThePrefix) {
+  BlockPool pool(16);
+  RefPool ref(16);
+  std::vector<uint64_t> ids(10), ref_ids(10);
+  ASSERT_TRUE(pool.alloc_run(ids).ok());
+  ASSERT_TRUE(ref.alloc_n(ref_ids).ok());
+
+  // Double free inside one call: 2, 3, 4 go back, the second 3 fails.
+  const std::vector<uint64_t> dup{2, 3, 4, 3};
+  EXPECT_EQ(pool.free_run(dup).code(), ErrorCode::kInternal);
+  EXPECT_EQ(ref.free_n(dup).code(), ErrorCode::kInternal);
+  expect_same_state(pool, ref);
+  // Double free of a block freed earlier, in the middle of a run.
+  const std::vector<uint64_t> again{5, 6, 2, 7};
+  EXPECT_EQ(pool.free_run(again).code(), ErrorCode::kInternal);
+  EXPECT_EQ(ref.free_n(again).code(), ErrorCode::kInternal);
+  expect_same_state(pool, ref);
+  // Out of range, also right after a valid run and past the pool's end.
+  const std::vector<uint64_t> range{8, 16, 9};
+  EXPECT_EQ(pool.free_run(range).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ref.free_n(range).code(), ErrorCode::kInvalidArgument);
+  expect_same_state(pool, ref);
+  EXPECT_EQ(pool.free(~0ull).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(pool.free(12).code(), ErrorCode::kInternal);  // never allocated
+  expect_same_state(pool, ref);
+  EXPECT_FALSE(pool.is_allocated(2));
+  EXPECT_TRUE(pool.is_allocated(9));
+}
+
+// ---------------------------------------------------------------------
+// MicroFs block maps across truncate, NoSpace and crash replay
+// ---------------------------------------------------------------------
+
+TEST(MicroFsBlockMapTest, TruncateRewriteReplayRestoresTheSameMap) {
+  sim::Engine eng;
+  hw::RamDevice dev(8_MiB, 4096);
+  std::vector<std::vector<uint64_t>> maps;
+  uint64_t free_blocks = 0;
+  {
+    auto fs = eng.run_task(MicroFs::format(eng, dev)).value();
+    // Enough churn that the rewrite allocates across the ring's wrap.
+    ASSERT_GT(fs->data_region_blocks(), 100u);
+    const uint64_t B = fs->options().hugeblock_size;
+    const uint64_t big = fs->data_region_blocks() * 2 / 5 * B;
+    eng.run_task([](MicroFs& m, uint64_t big, uint64_t B) -> sim::Task<void> {
+      auto a = co_await m.creat("/a");
+      for (uint64_t off = 0; off < big; off += 8 * B) {
+        EXPECT_TRUE((co_await m.write_tagged(*a, 8 * B)).ok());
+      }
+      EXPECT_TRUE((co_await m.close(*a)).ok());
+      auto b = co_await m.creat("/b");
+      EXPECT_TRUE((co_await m.write_tagged(*b, big)).ok());
+      EXPECT_TRUE((co_await m.close(*b)).ok());
+      // Truncate /a (creat on an existing file), rewrite it longer.
+      a = co_await m.creat("/a");
+      for (int i = 0; i < 5; ++i) {
+        EXPECT_TRUE((co_await m.write_tagged(*a, big / 4 + B / 2)).ok());
+      }
+      EXPECT_TRUE((co_await m.close(*a)).ok());
+      EXPECT_TRUE((co_await m.unlink("/b")).ok());
+      auto c = co_await m.creat("/c");
+      EXPECT_TRUE((co_await m.write_tagged(*c, big / 2)).ok());
+      EXPECT_TRUE((co_await m.close(*c)).ok());
+    }(*fs, big, B));
+    for (const auto& p : {"/a", "/c"}) {
+      auto map = fs->block_map(p);
+      ASSERT_TRUE(map.ok()) << p;
+      maps.push_back(*map);
+    }
+    free_blocks = fs->free_blocks();
+    // Crash: drop the instance without a state checkpoint, so recovery
+    // replays create, write, truncate, rewrite and unlink records.
+  }
+  auto fs = eng.run_task(MicroFs::recover(eng, dev)).value();
+  EXPECT_GT(fs->stats().replayed_records, 0u);
+  EXPECT_EQ(fs->block_map("/a").value(), maps[0]);
+  EXPECT_EQ(fs->block_map("/c").value(), maps[1]);
+  EXPECT_EQ(fs->free_blocks(), free_blocks);
+  EXPECT_FALSE(fs->stat("/b").ok());
+  eng.run_task([](MicroFs& m) -> sim::Task<void> {
+    auto report = co_await m.fsck();
+    EXPECT_TRUE(report.ok());
+    if (report.ok()) {
+      EXPECT_TRUE(report->clean()) << report->to_string();
+    }
+    EXPECT_TRUE((co_await m.verify_tagged("/a")).ok());
+    EXPECT_TRUE((co_await m.verify_tagged("/c")).ok());
+  }(*fs));
+}
+
+TEST(MicroFsBlockMapTest, NoSpaceLeavesMappedPrefixAndUnlinkReturnsIt) {
+  sim::Engine eng;
+  hw::RamDevice dev(8_MiB, 4096);
+  auto fs = eng.run_task(MicroFs::format(eng, dev)).value();
+  const uint64_t B = fs->options().hugeblock_size;
+  const uint64_t total_free = fs->free_blocks();
+  eng.run_task([](MicroFs& m, uint64_t B, uint64_t n) -> sim::Task<void> {
+    auto fd = co_await m.creat("/big");
+    EXPECT_TRUE((co_await m.write_tagged(*fd, 4 * B)).ok());
+    const Status s = co_await m.write_tagged(*fd, (n + 8) * B);
+    EXPECT_EQ(s.code(), ErrorCode::kNoSpace);
+    EXPECT_TRUE((co_await m.close(*fd)).ok());
+  }(*fs, B, total_free));
+  EXPECT_EQ(fs->free_blocks(), 0u);
+  // Per-block allocation would have mapped every free block in index
+  // order and stopped: the map holds them all (the root directory's
+  // dirfile took the first), then unmapped entries.
+  const uint64_t root_blocks = fs->block_map("/").value().size();
+  EXPECT_EQ(root_blocks, 1u);
+  const auto map = fs->block_map("/big").value();
+  uint64_t mapped = 0;
+  while (mapped < map.size() && map[mapped] != ~0ull) ++mapped;
+  EXPECT_EQ(mapped, total_free - root_blocks);
+  EXPECT_EQ(map.size(), 4 + total_free + 8);
+  for (uint64_t i = mapped; i < map.size(); ++i) EXPECT_EQ(map[i], ~0ull);
+  for (uint64_t i = 1; i < mapped; ++i) EXPECT_EQ(map[i], map[i - 1] + 1);
+  eng.run_task([](MicroFs& m) -> sim::Task<void> {
+    EXPECT_TRUE((co_await m.unlink("/big")).ok());
+  }(*fs));
+  EXPECT_EQ(fs->free_blocks(), total_free - root_blocks);
+}
+
+// ---------------------------------------------------------------------
 // InodeTable
 // ---------------------------------------------------------------------
 
@@ -152,6 +448,32 @@ TEST(InodeTableTest, SerializeRoundtripPreservesEverything) {
   EXPECT_EQ(ra->content, ContentKind::kTagged);
   EXPECT_EQ(ra->blocks, (std::vector<uint64_t>{7, 8, 9}));
   EXPECT_EQ(r.next_ino(), t.next_ino());
+}
+
+TEST(InodeTableTest, MappedPrefixIsNotSerializedAndResetsOnRestore) {
+  Inode a;
+  a.ino = 5;
+  a.blocks = {4, 5};
+  a.mapped = 2;
+  std::vector<std::byte> buf;
+  Encoder enc(buf);
+  a.serialize(enc);
+  // Restoring over an inode with a longer mapped prefix must not keep it:
+  // the restored map may have holes the prefix would skip.
+  Inode b;
+  b.blocks = {1, 2, 3, 4};
+  b.mapped = 4;
+  Decoder dec(buf);
+  ASSERT_TRUE(b.deserialize(dec).ok());
+  EXPECT_EQ(b.blocks, a.blocks);
+  EXPECT_EQ(b.mapped, 0u);
+  // The prefix adds no bytes to the encoding.
+  Inode c = a;
+  c.mapped = 0;
+  std::vector<std::byte> plain;
+  Encoder plain_enc(plain);
+  c.serialize(plain_enc);
+  EXPECT_EQ(buf, plain);
 }
 
 // ---------------------------------------------------------------------
@@ -488,7 +810,9 @@ TEST(DirfileTest, LiveViewFoldsTombstones) {
   for (const auto& d : live) names.insert(d.name);
   EXPECT_EQ(names, (std::set<std::string>{"a", "b", "c"}));
   for (const auto& d : live) {
-    if (d.name == "a") EXPECT_EQ(d.ino, 4u);
+    if (d.name == "a") {
+      EXPECT_EQ(d.ino, 4u);
+    }
   }
 }
 

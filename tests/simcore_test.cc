@@ -2,6 +2,7 @@
 // semaphores, barriers, and bandwidth resources.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "common/units.h"
 #include "simcore/engine.h"
 #include "simcore/event.h"
+#include "simcore/profile.h"
 #include "simcore/resource.h"
 #include "simcore/sync.h"
 #include "simcore/task.h"
@@ -445,7 +447,9 @@ TEST(TraceTest, HostileNamesProduceValidJson) {
       ++quotes;
       continue;
     }
-    if (in_string) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+    if (in_string) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+    }
   }
   // Balanced quoting: every string literal was closed.
   EXPECT_FALSE(in_string);
@@ -753,6 +757,51 @@ TEST(FramePoolTest, PoolingToggleRoutesFreesCorrectly) {
   eng.run();
   set_frame_pooling(true);
   EXPECT_EQ(frames_live(), live_before);
+}
+
+
+// ---------------------------------------------------------------------
+// DispatchProfiler attribution across coroutine boundaries
+// ---------------------------------------------------------------------
+
+Task<void> tagged_child(Engine& eng, uint16_t tag) {
+  ProfileTagScope scope(eng, tag);
+  co_await eng.delay(1000);
+}
+
+void spin_for(std::chrono::milliseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(DispatchProfilerTest, CallerWorkAfterTaggedChildBillsToCaller) {
+  // The child's delay completion is the event that resumes the untagged
+  // caller (the child returns into it within the same dispatch). The
+  // caller's heavy work after co_await must not bill to the child's tag.
+  Engine eng;
+  DispatchProfiler prof;
+  eng.set_profiler(&prof);
+  const uint16_t child = eng.profile_tag("unit/child");
+  ASSERT_NE(child, 0);
+  constexpr auto kWork = std::chrono::milliseconds(40);
+  eng.run_task([](Engine& e, uint16_t tag) -> Task<void> {
+    co_await tagged_child(e, tag);
+    spin_for(kWork);
+  }(eng, child));
+  prof.finish();
+
+  uint64_t child_ns = 0, untagged_ns = 0;
+  for (const auto& c : prof.ranked()) {
+    if (c.name == "unit/child") child_ns = c.wall_ns;
+    if (c.name == "(untagged)") untagged_ns = c.wall_ns;
+  }
+  const auto work_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(kWork).count());
+  EXPECT_GE(untagged_ns, work_ns);
+  EXPECT_LT(child_ns, work_ns / 2);
+  // Retagging is not a dispatch: only the two events were counted.
+  EXPECT_EQ(prof.total_dispatches(), eng.events_dispatched());
 }
 
 }  // namespace
