@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "minimal reproducer (%zu of %zu events):\n",
                subset.size(), res.violating_schedule.events.size());
   std::fprintf(stderr, "reproduce with: %s\n",
-               reproducer_line(res.violating_schedule, subset).c_str());
+               reproducer_line(cfg, res.violating_schedule, subset).c_str());
   std::ofstream dump(cli.dump_to);
   dump << serialize_schedule(res.violating_schedule);
   std::fprintf(stderr, "schedule dumped to %s (replayable via "

@@ -18,11 +18,11 @@
 #include <string>
 
 #include "baselines/models.h"
-#include "metrics/report.h"
 #include "nvmecr/runtime.h"
 #include "obs/run_report.h"
 #include "redundancy/engine.h"
 #include "workloads/comd.h"
+#include "workloads/report.h"
 
 using namespace nvmecr;
 using namespace nvmecr::literals;
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
   }
 
   // The metrics module renders the same run as a uniform table + CSV.
-  metrics::ScalingReport summary("comd_checkpoint summary");
+  workloads::ScalingReport summary("comd_checkpoint summary");
   summary.add("112 ranks / 2 SSDs", *metrics);
   summary.print_table();
   const std::string csv_path =

@@ -416,12 +416,15 @@ std::vector<uint32_t> ddmin(
   return ids;
 }
 
-std::string reproducer_line(const FailureSchedule& sched,
+std::string reproducer_line(const CampaignConfig& cfg,
+                            const FailureSchedule& sched,
                             const std::vector<uint32_t>& subset) {
   char seed[32];
   std::snprintf(seed, sizeof(seed), "0x%llx",
                 static_cast<unsigned long long>(sched.params.seed));
-  std::string line = std::string("chaos_campaign --replay-seed ") + seed;
+  std::string line = "chaos_campaign --app " + cfg.app + " --ranks " +
+                     std::to_string(cfg.ranks) + " --epochs " +
+                     std::to_string(cfg.epochs) + " --replay-seed " + seed;
   if (!subset.empty() && subset.size() < sched.events.size()) {
     line += " --events ";
     for (size_t i = 0; i < subset.size(); ++i) {

@@ -137,8 +137,10 @@ std::vector<uint32_t> ddmin(
     const std::function<bool(const std::vector<uint32_t>&)>& fails);
 
 /// One-line reproducer (crash_explore parity): how to re-run exactly
-/// this violation from the command line.
-std::string reproducer_line(const FailureSchedule& sched,
+/// this violation from the command line, at the campaign's app, rank
+/// count and epoch count.
+std::string reproducer_line(const CampaignConfig& cfg,
+                            const FailureSchedule& sched,
                             const std::vector<uint32_t>& subset);
 
 }  // namespace nvmecr::chaos

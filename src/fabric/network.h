@@ -7,8 +7,11 @@
 // blocking switch fabric itself is not a bottleneck (EDR fat trees are
 // provisioned that way), so only NICs limit bandwidth.
 //
-// rpc() models a request/response exchange (metadata server models,
-// NVMf command+completion).
+// transfer() is the only way bytes cross the wire, and it is fallible:
+// every fabric user (NVMf capsules and completions, offload and mirror
+// traffic, the baseline file systems, the global-namespace lock) sees
+// link-down and partition windows as kTimedOut. A request/response
+// exchange is two transfer() legs with the server's work in between.
 #pragma once
 
 #include <cstdint>
@@ -93,26 +96,25 @@ class Network {
     return true;
   }
 
-  /// Fallible transfer: if either endpoint's link is down at submission,
-  /// or goes down before the last byte lands (completion ack lost), the
-  /// initiator burns the transport timeout and gets kTimedOut. Loopback
-  /// never fails (no wire).
-  sim::Task<Status> try_transfer(NodeId src, NodeId dst, uint64_t bytes) {
+  /// Moves `bytes` from `src` to `dst`; completes when the last byte has
+  /// arrived. Same-node transfers are free (shared memory, no wire, never
+  /// fail). If either endpoint's link is down at submission, or goes down
+  /// before the last byte lands (completion ack lost), the initiator
+  /// burns the transport timeout and gets kTimedOut.
+  sim::Task<Status> transfer(NodeId src, NodeId dst, uint64_t bytes) {
     if (src == dst) co_return OkStatus();
     if (!link_up(src, engine_.now()) || !link_up(dst, engine_.now())) {
       co_await engine_.delay(params_.transport_timeout);
       co_return TimedOutError("link down: node " + std::to_string(src) +
                               " -> node " + std::to_string(dst));
     }
-    // The move itself is inlined from transfer() rather than awaited as a
-    // sub-task: this is the NVMf capsule/completion hot path (two
-    // try_transfers per IO), and the extra frame per call was measurable.
-    // The pacing loop must stay chunk-by-chunk — the reservation
-    // interleaving among concurrent flows is part of the model.
     if (bytes > 0) {
       Nic& s = nics_[src];
       Nic& d = nics_[dst];
-      account_transfer(s, d, bytes);
+      total_bytes_sent_ += bytes;
+      total_bytes_received_ += bytes;
+      if (s.tx_bytes != nullptr) s.tx_bytes->add(bytes);
+      if (d.rx_bytes != nullptr) d.rx_bytes->add(bytes);
       const uint64_t chunk = params_.fair_chunk;
       SimTime arrive = engine_.now();
       uint64_t left = bytes;
@@ -121,6 +123,9 @@ class Network {
         const SimTime tx_done = s.tx.reserve(piece);
         arrive = d.rx.reserve_after(tx_done, piece);
         left -= piece;
+        // Pace on the tx pipe (suspending per chunk lets concurrent
+        // flows interleave their reservations — fair sharing); the rx
+        // side pipelines: chunk k is received while chunk k+1 transmits.
         if (left > 0) co_await engine_.sleep_until(tx_done);
       }
       if (s.tx_backlog != nullptr) {
@@ -139,58 +144,6 @@ class Network {
                               std::to_string(dst));
     }
     co_return OkStatus();
-  }
-
-  /// Fallible request/response exchange (see rpc()).
-  sim::Task<Status> try_rpc(NodeId client, NodeId server,
-                            uint64_t request_bytes, uint64_t response_bytes) {
-    NVMECR_CO_RETURN_IF_ERROR(
-        co_await try_transfer(client, server, request_bytes));
-    NVMECR_CO_RETURN_IF_ERROR(
-        co_await try_transfer(server, client, response_bytes));
-    co_return OkStatus();
-  }
-
-  /// Moves `bytes` from `src` to `dst`; completes when the last byte has
-  /// arrived. Same-node transfers are free (shared memory).
-  sim::Task<void> transfer(NodeId src, NodeId dst, uint64_t bytes) {
-    if (src == dst || bytes == 0) {
-      if (bytes == 0 && src != dst) co_await engine_.delay(latency(src, dst));
-      co_return;
-    }
-    Nic& s = nics_[src];
-    Nic& d = nics_[dst];
-    account_transfer(s, d, bytes);
-    const uint64_t chunk = params_.fair_chunk;
-    SimTime arrive = engine_.now();
-    uint64_t left = bytes;
-    while (left > 0) {
-      const uint64_t piece = left < chunk ? left : chunk;
-      const SimTime tx_done = s.tx.reserve(piece);
-      arrive = d.rx.reserve_after(tx_done, piece);
-      left -= piece;
-      // Pace on the tx pipe (suspending per chunk lets concurrent flows
-      // interleave their reservations — fair sharing); the rx side
-      // pipelines: chunk k is received while chunk k+1 transmits.
-      if (left > 0) co_await engine_.sleep_until(tx_done);
-    }
-    if (s.tx_backlog != nullptr) {
-      s.tx_backlog->set(engine_.now(), static_cast<double>(s.tx.backlog()));
-    }
-    // Last-byte arrival and wire latency are one wakeup, not two: the
-    // completion sleep already knows the latency, so batching them
-    // halves this path's event count.
-    co_await engine_.sleep_until(arrive + latency(src, dst));
-  }
-
-  /// Request/response exchange; completes at the requester when the
-  /// response has fully arrived. Server-side processing time is the
-  /// callee's business (co_await between the halves if needed) — this
-  /// convenience assumes zero server time.
-  sim::Task<void> rpc(NodeId client, NodeId server, uint64_t request_bytes,
-                      uint64_t response_bytes) {
-    co_await transfer(client, server, request_bytes);
-    co_await transfer(server, client, response_bytes);
   }
 
   /// Bytes a NIC has currently queued for transmit, as drain time.
@@ -227,17 +180,6 @@ class Network {
     SimTime from;
     SimTime until;
   };
-
-  struct Nic;
-
-  /// Byte accounting shared by transfer() and the inlined try_transfer
-  /// path (counted unconditionally, observer or not).
-  void account_transfer(Nic& s, Nic& d, uint64_t bytes) {
-    total_bytes_sent_ += bytes;
-    total_bytes_received_ += bytes;
-    if (s.tx_bytes != nullptr) s.tx_bytes->add(bytes);
-    if (d.rx_bytes != nullptr) d.rx_bytes->add(bytes);
-  }
 
   struct Nic {
     sim::BandwidthResource tx;

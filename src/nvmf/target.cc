@@ -1,5 +1,6 @@
 #include "nvmf/target.h"
 
+#include <coroutine>
 #include <type_traits>
 
 #include "obs/profile.h"
@@ -10,6 +11,25 @@ namespace nvmecr::nvmf {
 namespace {
 
 using obs::EpochProfiler;
+
+/// A command sent to a dead target daemon gets no response: awaiting a
+/// TargetLost burns the transport timeout, then yields kUnreachable
+/// naming the target and the step (`what`). A plain awaiter rather than
+/// a coroutine, so the failure path allocates no frame.
+struct TargetLost {
+  NvmfTarget& target;
+  const char* what;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    target.engine()
+        .delay(target.network().params().transport_timeout)
+        .await_suspend(h);
+  }
+  Status await_resume() const {
+    return UnreachableError("nvmf target on node " +
+                            std::to_string(target.node()) + " " + what);
+  }
+};
 
 /// Initiator-side view of a remote namespace through one qpair.
 ///
@@ -152,13 +172,12 @@ class RemoteDevice final : public hw::BlockDevice {
         obs.epoch->record(eng, EpochProfiler::Phase::kSerialize, cpu);
       }
       if (!target_.alive(eng.now())) {
-        co_await eng.delay(target_.network().params().transport_timeout);
+        Status lost = co_await TargetLost{target_, "down"};
         target_.command_end(count);
-        co_return UnreachableError("nvmf target on node " +
-                                   std::to_string(target_.node()) + " down");
+        co_return lost;
       }
       const SimTime xfer0 = eng.now();
-      Status rq = co_await target_.network().try_transfer(
+      Status rq = co_await target_.network().transfer(
           client_, target_.node(), req_bytes);
       if (obs.epoch != nullptr) {
         obs.epoch->record(eng, EpochProfiler::Phase::kFabric,
@@ -179,11 +198,9 @@ class RemoteDevice final : public hw::BlockDevice {
       if (cpu_done > eng.now()) co_await eng.sleep_until(cpu_done);
       if (!target_.alive(eng.now())) {
         // The daemon died while the command sat in the poll group.
-        co_await eng.delay(target_.network().params().transport_timeout);
+        Status lost = co_await TargetLost{target_, "died processing command"};
         target_.command_end(count);
-        co_return UnreachableError("nvmf target on node " +
-                                   std::to_string(target_.node()) +
-                                   " died processing command");
+        co_return lost;
       }
     }
 
@@ -224,15 +241,12 @@ class RemoteDevice final : public hw::BlockDevice {
     {
       sim::ProfileTagScope tag_scope(eng, target_.profile_tag());
       if (!target_.alive(eng.now())) {
-        co_await eng.delay(target_.network().params().transport_timeout);
+        rs = co_await TargetLost{target_, "died before completing"};
         target_.command_end(count);
-        rs = UnreachableError("nvmf target on node " +
-                              std::to_string(target_.node()) +
-                              " died before completing");
       } else {
         const SimTime xfer0 = eng.now();
-        rs = co_await target_.network().try_transfer(target_.node(), client_,
-                                                     resp_bytes);
+        rs = co_await target_.network().transfer(target_.node(), client_,
+                                                 resp_bytes);
         if (obs.epoch != nullptr) {
           obs.epoch->record(eng, EpochProfiler::Phase::kFabric,
                             eng.now() - xfer0);
@@ -289,21 +303,17 @@ sim::Task<StatusOr<uint32_t>> NvmfTarget::negotiate_offload(
   sim::ProfileTagScope tag_scope(engine_, profile_tag_);
   co_await engine_.delay(params_.initiator_per_cmd);
   if (!alive(engine_.now())) {
-    co_await engine_.delay(network_.params().transport_timeout);
-    co_return UnreachableError("nvmf target on node " + std::to_string(node_) +
-                               " down (offload negotiation)");
+    co_return co_await TargetLost{*this, "down (offload negotiation)"};
   }
   Status s =
-      co_await network_.try_transfer(client_node, node_, params_.command_bytes);
+      co_await network_.transfer(client_node, node_, params_.command_bytes);
   if (!s.ok()) co_return s;
   co_await engine_.sleep_until(reserve_poll_group(engine_.now()));
   if (!alive(engine_.now())) {
-    co_await engine_.delay(network_.params().transport_timeout);
-    co_return UnreachableError("nvmf target on node " + std::to_string(node_) +
-                               " died negotiating offload");
+    co_return co_await TargetLost{*this, "died negotiating offload"};
   }
-  s = co_await network_.try_transfer(node_, client_node,
-                                     params_.completion_bytes);
+  s = co_await network_.transfer(node_, client_node,
+                                 params_.completion_bytes);
   if (!s.ok()) co_return s;
   co_return requested & params_.offload_caps;
 }

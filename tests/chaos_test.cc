@@ -333,14 +333,25 @@ TEST(CampaignTest, ReproducerLineNamesSeedAndSubset) {
   FailureSchedule sched;
   sched.params.seed = 0x2A;
   sched.events.resize(10);
+  // A violation found at scale must replay at that scale, not at the
+  // 4-rank CLI defaults.
+  chaos::CampaignConfig cfg;
+  cfg.app = "AMG";
+  cfg.ranks = 32;
+  cfg.epochs = 7;
   // Whole-schedule reproducer: just the seed, no --events filter.
   const std::string all = chaos::reproducer_line(
-      sched, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+      cfg, sched, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
   EXPECT_NE(all.find("--replay-seed 0x2a"), std::string::npos);
   EXPECT_EQ(all.find("--events"), std::string::npos);
-  const std::string some = chaos::reproducer_line(sched, {1, 4, 7});
+  const std::string some = chaos::reproducer_line(cfg, sched, {1, 4, 7});
   EXPECT_NE(some.find("--replay-seed 0x2a"), std::string::npos);
   EXPECT_NE(some.find("--events 1,4,7"), std::string::npos);
+  for (const std::string& line : {all, some}) {
+    EXPECT_NE(line.find("--app AMG"), std::string::npos) << line;
+    EXPECT_NE(line.find("--ranks 32"), std::string::npos) << line;
+    EXPECT_NE(line.find("--epochs 7"), std::string::npos) << line;
+  }
 }
 
 }  // namespace

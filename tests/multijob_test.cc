@@ -153,7 +153,7 @@ TEST(MultiJobTest, ConcurrentJobsShareSsdBandwidth) {
 }  // namespace
 }  // namespace nvmecr
 
-#include "metrics/report.h"
+#include "workloads/report.h"
 
 namespace nvmecr {
 namespace {
@@ -173,7 +173,7 @@ TEST(MetricsReportTest, CsvAndTableRendering) {
   m.recovery_bytes = 4ull << 30;
   m.server_bytes = {100, 100, 100};
 
-  metrics::ScalingReport report("unit");
+  workloads::ScalingReport report("unit");
   report.add("cfg-a", m);
   const std::string csv = report.to_csv();
   EXPECT_NE(csv.find("config,ckpt_eff"), std::string::npos);

@@ -2,8 +2,11 @@
 // §11): the now-ring is a pure performance optimization and must never
 // change *what* the simulation computes. These tests pin that down at
 // full-system scale — a fig07-style CoMD run over the real NVMe-CR
-// stack — by fingerprinting the complete dispatch schedule.
+// stack — by fingerprinting the complete dispatch schedule. Smaller
+// pinned runs over the comparator stacks guard the schedule of the
+// baseline and global-namespace fabric paths.
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -20,6 +23,7 @@
 namespace nvmecr {
 namespace {
 
+using namespace nvmecr::literals;
 using bench::default_runtime_config;
 using bench::partition_for;
 using bench::weak_scaling_params;
@@ -47,6 +51,24 @@ struct RunFingerprint {
 constexpr uint64_t kGoldenHash = 16411536983975935818ull;
 constexpr uint64_t kGoldenEvents = 71870;
 constexpr SimTime kGoldenFinalTime = 7434117816;
+
+/// Folds every dispatched (time, seq) pair of `engine` into `fp`.
+void fingerprint_dispatches(sim::Engine& engine, RunFingerprint& fp) {
+  engine.set_dispatch_probe([&fp, first = true, last_time = SimTime{0},
+                             last_seq = uint64_t{0}](SimTime t,
+                                                     uint64_t seq) mutable {
+    // The dispatch order must be monotone in (time, seq) regardless of
+    // which tier an event came from.
+    EXPECT_TRUE(first || t > last_time || (t == last_time && seq > last_seq))
+        << "dispatch out of order at t=" << t << " seq=" << seq;
+    first = false;
+    last_time = t;
+    last_seq = seq;
+    fp.hash = mix64(fp.hash ^ mix64(static_cast<uint64_t>(t)));
+    fp.hash = mix64(fp.hash ^ seq);
+    ++fp.events;
+  });
+}
 
 enum class OffloadMode { kNone, kPassthrough, kAllStages };
 
@@ -80,21 +102,7 @@ RunFingerprint run_fingerprinted(bool ring_enabled, uint32_t nranks,
     cluster.install_observer(o);
   }
   RunFingerprint fp;
-  SimTime last_time = 0;
-  uint64_t last_seq = 0;
-  bool first = true;
-  cluster.engine().set_dispatch_probe([&](SimTime t, uint64_t seq) {
-    // The dispatch order must be monotone in (time, seq) regardless of
-    // which tier an event came from.
-    EXPECT_TRUE(first || t > last_time || (t == last_time && seq > last_seq))
-        << "dispatch out of order at t=" << t << " seq=" << seq;
-    first = false;
-    last_time = t;
-    last_seq = seq;
-    fp.hash = mix64(fp.hash ^ mix64(static_cast<uint64_t>(t)));
-    fp.hash = mix64(fp.hash ^ seq);
-    ++fp.events;
-  });
+  fingerprint_dispatches(cluster.engine(), fp);
 
   Scheduler sched(cluster);
   auto job = sched.allocate(params.nranks, params.procs_per_node,
@@ -254,6 +262,95 @@ TEST(PerfDeterminismTest, OffloadEnabledScheduleIsPinned) {
                                         << " final_time=" << a.final_time;
   EXPECT_EQ(a.events, kOffloadGoldenEvents);
   EXPECT_EQ(a.final_time, kOffloadGoldenFinalTime);
+}
+
+enum class Baseline { kGlusterFs, kDeltaFs, kCrail, kLustre, kGlobalNamespace };
+
+/// Small CoMD job (16 ranks on two compute nodes, three 2 MiB
+/// checkpoints, restart) over one of the stacks the NVMe-CR goldens above
+/// do not reach: the DFS chassis (shared-directory and serverless
+/// metadata), Crail's namenode, Lustre's MDS/OSS path and NVMe-CR's
+/// global-namespace lock.
+RunFingerprint run_baseline_fingerprinted(Baseline which) {
+  ComdParams params;
+  params.nranks = 16;
+  params.procs_per_node = 8;
+  params.atoms_per_rank = 4096;
+  params.bytes_per_atom = 512;
+  params.checkpoints = 3;
+  params.compute_per_period = 20 * kMillisecond;
+  params.io_chunk = 1_MiB;
+
+  Cluster cluster;
+  RunFingerprint fp;
+  fingerprint_dispatches(cluster.engine(), fp);
+  std::unique_ptr<baselines::StorageSystem> system;
+  switch (which) {
+    case Baseline::kGlusterFs:
+      system = std::make_unique<baselines::GlusterFsModel>(
+          cluster, params.nranks, params.procs_per_node);
+      break;
+    case Baseline::kDeltaFs:
+      system = std::make_unique<baselines::DeltaFsModel>(
+          cluster, params.nranks, params.procs_per_node);
+      break;
+    case Baseline::kCrail:
+      system = std::make_unique<baselines::CrailModel>(
+          cluster, params.nranks, params.procs_per_node, 64_MiB);
+      break;
+    case Baseline::kLustre:
+      system = std::make_unique<baselines::LustreModel>(
+          cluster, params.procs_per_node);
+      break;
+    case Baseline::kGlobalNamespace: {
+      Scheduler sched(cluster);
+      auto job = sched.allocate(params.nranks, params.procs_per_node,
+                                partition_for(params), /*num_ssds=*/2);
+      NVMECR_CHECK(job.ok());
+      nvmecr_rt::RuntimeConfig config = default_runtime_config();
+      config.private_namespace = false;
+      system = std::make_unique<NvmecrSystem>(cluster, *job, config);
+      break;
+    }
+  }
+  auto m = ComdDriver::run(cluster, *system, params);
+  NVMECR_CHECK(m.ok());
+  fp.final_time = cluster.engine().now();
+  fp.total_time = m->total_time;
+  fp.efficiency = m->checkpoint_efficiency();
+  return fp;
+}
+
+TEST(PerfDeterminismTest, BaselineSchedulesArePinned) {
+  // Golden (time, seq) fingerprints of the comparator and global-
+  // namespace stacks, whose fabric traffic the NVMe-CR goldens above
+  // never exercise. Update like kGoldenHash when a change is intentional.
+  struct Golden {
+    const char* name;
+    Baseline which;
+    uint64_t hash;
+    uint64_t events;
+    SimTime final_time;
+  };
+  const Golden goldens[] = {
+      {"GlusterFS", Baseline::kGlusterFs, 7302348836349646819ull, 4026,
+       83037780},
+      {"DeltaFS", Baseline::kDeltaFs, 6805583478868425892ull, 4139,
+       85548969},
+      {"Crail", Baseline::kCrail, 5036704753837747167ull, 3867, 133419755},
+      {"Lustre", Baseline::kLustre, 12857957339094482347ull, 2484,
+       111640961},
+      {"NVMe-CR global namespace", Baseline::kGlobalNamespace,
+       6078015409063805348ull, 3937, 94686707},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.name);
+    const RunFingerprint fp = run_baseline_fingerprinted(g.which);
+    EXPECT_EQ(fp.hash, g.hash) << "events=" << fp.events
+                               << " final_time=" << fp.final_time;
+    EXPECT_EQ(fp.events, g.events);
+    EXPECT_EQ(fp.final_time, g.final_time);
+  }
 }
 
 }  // namespace

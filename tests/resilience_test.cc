@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/models.h"
 #include "nvmecr/posix_shim.h"
 #include "nvmecr/runtime.h"
 #include "obs/metrics.h"
@@ -116,14 +117,104 @@ TEST(NetworkFaultTest, LinkDownWindowTimesOutThenRecovers) {
                                fabric::NodeId dst) -> sim::Task<void> {
     // During the window the transfer burns the transport timeout and
     // fails typed-retryable.
-    Status s = co_await n.try_transfer(src, dst, 1_MiB);
+    Status s = co_await n.transfer(src, dst, 1_MiB);
     EXPECT_EQ(s.code(), ErrorCode::kTimedOut);
     EXPECT_EQ(c.engine().now(), n.params().transport_timeout);
     // After the window it goes through.
     co_await c.engine().sleep_until(1 * kMillisecond);
-    s = co_await n.try_transfer(src, dst, 1_MiB);
+    s = co_await n.transfer(src, dst, 1_MiB);
     EXPECT_TRUE(s.ok()) << s.to_string();
   }(cluster, net, a, b));
+}
+
+enum class LinkFaultOp { kCreate, kClose };
+
+/// Runs `op` on rank 0's session of `sys` twice: once with a link-down
+/// window armed on `client` as it starts (it must fail kTimedOut, no
+/// earlier than the transport timeout) and once after the window closes
+/// (it must succeed). The session is opened before the window, so only
+/// `op` crosses it. The window covers each op's first fabric leg but is
+/// shorter than NVMe-CR's global-namespace round trip plus critical
+/// section, so NVMe-CR's own data-path IO (NVMf, which honours link
+/// faults on its own) starts after it closes: a failure there can only
+/// come from the lock traffic.
+void expect_link_fault_then_recovery(Cluster& cluster,
+                                     baselines::StorageSystem& sys,
+                                     fabric::NodeId client, LinkFaultOp op) {
+  cluster.engine().run_task([](Cluster& c, baselines::StorageSystem& s,
+                               fabric::NodeId node,
+                               LinkFaultOp o) -> sim::Task<void> {
+    auto session = co_await s.connect(0);
+    EXPECT_TRUE(session.ok()) << session.status().to_string();
+    if (!session.ok()) co_return;
+    baselines::StorageClient& cl = **session;
+    sim::Engine& eng = c.engine();
+    const SimDuration window = 20 * kMicrosecond;
+    for (const bool down : {true, false}) {
+      const std::string path = down ? "/during" : "/after";
+      int fd = -1;
+      if (o == LinkFaultOp::kClose) {
+        auto opened = co_await cl.create(path);
+        EXPECT_TRUE(opened.ok()) << opened.status().to_string();
+        if (!opened.ok()) co_return;
+        fd = *opened;
+      }
+      const SimTime t0 = eng.now();
+      if (down) c.network().add_link_down(node, t0, t0 + window);
+      Status st;
+      if (o == LinkFaultOp::kCreate) {
+        st = (co_await cl.create(path)).status();
+      } else {
+        st = co_await cl.close(fd);
+      }
+      if (down) {
+        EXPECT_EQ(st.code(), ErrorCode::kTimedOut) << st.to_string();
+        EXPECT_GE(eng.now() - t0, c.network().params().transport_timeout);
+        EXPECT_GE(eng.now(), t0 + window);  // the next attempt sees it closed
+      } else {
+        EXPECT_TRUE(st.ok()) << st.to_string();
+      }
+    }
+  }(cluster, sys, client, op));
+}
+
+TEST(NetworkFaultTest, LinkDownReachesEveryFabricUser) {
+  // Link windows are a property of the fabric, not of NVMf: the
+  // comparator file systems and NVMe-CR's global-namespace lock cross the
+  // same wire and must see the same transport timeouts.
+  {
+    SCOPED_TRACE("GlusterFS create");
+    Cluster cluster;
+    baselines::GlusterFsModel sys(cluster, 1, 1);
+    expect_link_fault_then_recovery(cluster, sys, cluster.node_of_rank(0, 1),
+                                    LinkFaultOp::kCreate);
+  }
+  {
+    SCOPED_TRACE("Crail close");
+    Cluster cluster;
+    baselines::CrailModel sys(cluster, 1, 1, 64_MiB);
+    expect_link_fault_then_recovery(cluster, sys, cluster.node_of_rank(0, 1),
+                                    LinkFaultOp::kClose);
+  }
+  {
+    SCOPED_TRACE("Lustre create");
+    Cluster cluster;
+    baselines::LustreModel sys(cluster, 1);
+    expect_link_fault_then_recovery(cluster, sys, cluster.node_of_rank(0, 1),
+                                    LinkFaultOp::kCreate);
+  }
+  {
+    SCOPED_TRACE("NVMe-CR global-namespace create");
+    Cluster cluster;
+    Scheduler sched(cluster);
+    auto job = sched.allocate(1, 1, 64_MiB, 1);
+    ASSERT_TRUE(job.ok());
+    RuntimeConfig config;
+    config.private_namespace = false;
+    nvmecr_rt::NvmecrSystem sys(cluster, *job, config);
+    expect_link_fault_then_recovery(cluster, sys, job->rank_nodes[0],
+                                    LinkFaultOp::kCreate);
+  }
 }
 
 // ---------------------------------------------------------------------------
