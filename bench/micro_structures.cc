@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the real data structures the
 // control plane runs on: the DRAM B+Tree, the circular hugeblock pool,
-// microfs block mapping, and operation-log record encode/append (with
-// and without coalescing).
+// microfs block mapping, operation-log record encode/append (with and
+// without coalescing), and the SSD payload store's extent index.
 // These measure host CPU, not simulated time — they justify the
 // control-plane cost constants used by the simulation.
 #include <benchmark/benchmark.h>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "hw/payload_store.h"
 #include "hw/ram_device.h"
 #include "microfs/block_pool.h"
 #include "microfs/bptree.h"
@@ -225,6 +226,71 @@ void BM_OpLogAppend(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_OpLogAppend)->Arg(0)->Arg(1);
+
+void BM_PayloadStoreInterleavedRewrite(benchmark::State& state) {
+  // One SSD's payload store under the ckpt_small448 shape: 56 rank
+  // partitions written round-robin. A 4 KiB checkpoint write is submitted
+  // as its whole 32 KiB hugeblock (§III-E), so a 64 KiB file rewrites
+  // each of its two hugeblocks eight times; every fourth op also writes
+  // one op-log slot as real bytes. Each partition rotates through 100
+  // file slots and 48 log slots, all pre-filled, so the store holds
+  // ~8.3k extents throughout. One iteration is one op.
+  constexpr uint64_t kRanks = 56;
+  constexpr uint64_t kHuge = 32_KiB;
+  constexpr uint64_t kFileHbs = 2;
+  constexpr uint64_t kWritesPerHb = 8;
+  constexpr uint64_t kFiles = 100;
+  constexpr uint64_t kLogSlots = 48;
+  constexpr uint64_t kSlotBytes = 192;
+  constexpr uint64_t kPartition = 16_MiB;
+  constexpr uint64_t kDataBase = round_up(kLogSlots * kSlotBytes, kHuge);
+  hw::PayloadStore store(4096);
+  const std::vector<std::byte> record(kSlotBytes, std::byte{0x5a});
+  struct Rank {
+    uint64_t file = 0;
+    uint64_t write = 0;
+    uint64_t slot = 0;
+    uint64_t seed = 0;
+  };
+  std::vector<Rank> ranks(kRanks);
+  uint64_t next_seed = 1;
+  for (uint64_t r = 0; r < kRanks; ++r) {
+    for (uint64_t f = 0; f < kFiles; ++f) {
+      NVMECR_CHECK(store
+                       .write_pattern(r * kPartition + kDataBase +
+                                          f * kFileHbs * kHuge,
+                                      kFileHbs * kHuge, next_seed++)
+                       .ok());
+    }
+    for (uint64_t slot = 0; slot < kLogSlots; ++slot) {
+      store.write_bytes(r * kPartition + slot * kSlotBytes, record);
+    }
+    ranks[r].seed = next_seed++;
+  }
+  uint64_t op = 0;
+  for (auto _ : state) {
+    const uint64_t r = op % kRanks;
+    Rank& rank = ranks[r];
+    const uint64_t hb = rank.file * kFileHbs + rank.write / kWritesPerHb;
+    NVMECR_CHECK(store
+                     .write_pattern(r * kPartition + kDataBase + hb * kHuge,
+                                    kHuge, rank.seed)
+                     .ok());
+    if (++rank.write == kFileHbs * kWritesPerHb) {
+      rank.write = 0;
+      rank.file = (rank.file + 1) % kFiles;
+      rank.seed = next_seed++;
+    }
+    if (op % 4 == 0) {
+      store.write_bytes(r * kPartition + rank.slot * kSlotBytes, record);
+      rank.slot = (rank.slot + 1) % kLogSlots;
+    }
+    ++op;
+  }
+  state.counters["extents"] = static_cast<double>(store.extent_count());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PayloadStoreInterleavedRewrite);
 
 }  // namespace
 }  // namespace nvmecr::microfs

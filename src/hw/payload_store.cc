@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -32,58 +33,140 @@ uint64_t PayloadStore::expected_tag(uint64_t seed, uint64_t offset,
   return tag;
 }
 
-PayloadStore::ExtentMap::iterator PayloadStore::carve(uint64_t start,
-                                                      uint64_t len) {
-  if (len == 0) return extents_.lower_bound(start);
+PayloadStore::Pos PayloadStore::lower_bound(uint64_t key) const {
+  // The last leaf whose first start is <= key holds the answer, unless
+  // every start in it is smaller; then it is the next leaf's first.
+  const auto after = std::upper_bound(leaf_first_.begin(), leaf_first_.end(),
+                                      key);
+  const size_t leaf =
+      after == leaf_first_.begin()
+          ? 0
+          : static_cast<size_t>(after - leaf_first_.begin()) - 1;
+  if (leaf == leaves_.size()) return end_pos();
+  const std::vector<uint64_t>& starts = leaves_[leaf].starts;
+  const size_t slot = static_cast<size_t>(
+      std::lower_bound(starts.begin(), starts.end(), key) - starts.begin());
+  if (slot == starts.size()) return {leaf + 1, 0};
+  return {leaf, slot};
+}
+
+PayloadStore::Pos PayloadStore::first_overlapping(uint64_t offset) const {
+  const Pos it = lower_bound(offset);
+  if (it == first_pos()) return it;
+  const Pos p = prev(it);
+  return start_of(p) + at(p).len > offset ? p : it;
+}
+
+PayloadStore::Pos PayloadStore::insert(Pos p, uint64_t start, Extent e) {
+  NVMECR_CHECK(p == end_pos() || start < start_of(p));
+  NVMECR_CHECK(p == first_pos() || start_of(prev(p)) < start);
+  if (leaves_.empty()) {
+    leaves_.emplace_back();
+    leaf_first_.push_back(start);
+  } else if (p.slot == 0 && p.leaf > 0) {
+    // Between two leaves (or at the end): append to the earlier one, so
+    // the later leaf's first start stays put.
+    p = {p.leaf - 1, leaves_[p.leaf - 1].starts.size()};
+  }
+  if (leaves_[p.leaf].starts.size() == kLeafCap) {
+    // Split in half. The right half is allocated at its exact size and
+    // the left keeps its buffer, so no leaf grows past kLeafCap.
+    Leaf& left = leaves_[p.leaf];
+    const size_t half = kLeafCap / 2;
+    Leaf right;
+    right.starts.assign(left.starts.begin() + half, left.starts.end());
+    right.extents.assign(std::make_move_iterator(left.extents.begin() + half),
+                         std::make_move_iterator(left.extents.end()));
+    left.starts.resize(half);
+    left.extents.resize(half);
+    leaf_first_.insert(leaf_first_.begin() + static_cast<ptrdiff_t>(p.leaf) + 1,
+                       right.starts.front());
+    leaves_.insert(leaves_.begin() + static_cast<ptrdiff_t>(p.leaf) + 1,
+                   std::move(right));
+    if (p.slot > half) p = {p.leaf + 1, p.slot - half};
+  }
+  Leaf& leaf = leaves_[p.leaf];
+  leaf.starts.insert(leaf.starts.begin() + static_cast<ptrdiff_t>(p.slot),
+                     start);
+  leaf.extents.insert(leaf.extents.begin() + static_cast<ptrdiff_t>(p.slot),
+                      std::move(e));
+  if (p.slot == 0) leaf_first_[p.leaf] = start;
+  ++extent_count_;
+  return p;
+}
+
+PayloadStore::Pos PayloadStore::erase(Pos p) {
+  Leaf& leaf = leaves_[p.leaf];
+  leaf.starts.erase(leaf.starts.begin() + static_cast<ptrdiff_t>(p.slot));
+  leaf.extents.erase(leaf.extents.begin() + static_cast<ptrdiff_t>(p.slot));
+  --extent_count_;
+  if (leaf.starts.empty()) {
+    leaves_.erase(leaves_.begin() + static_cast<ptrdiff_t>(p.leaf));
+    leaf_first_.erase(leaf_first_.begin() + static_cast<ptrdiff_t>(p.leaf));
+    return {p.leaf, 0};
+  }
+  if (p.slot == 0) leaf_first_[p.leaf] = leaf.starts.front();
+  if (p.slot == leaf.starts.size()) return {p.leaf + 1, 0};
+  return p;
+}
+
+void PayloadStore::rekey(Pos p, uint64_t start) {
+  leaves_[p.leaf].starts[p.slot] = start;
+  if (p.slot == 0) leaf_first_[p.leaf] = start;
+}
+
+PayloadStore::Pos PayloadStore::carve(Pos it, uint64_t start, uint64_t len) {
   const uint64_t end = start + len;
 
   // Split a predecessor that overlaps the carve region.
-  auto it = extents_.lower_bound(start);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    const uint64_t prev_end = prev->first + prev->second.len;
-    if (prev_end > start) {
-      Extent& pe = prev->second;
+  if (it != first_pos()) {
+    const Pos p = prev(it);
+    const uint64_t p_start = start_of(p);
+    Extent& pe = at(p);
+    const uint64_t p_end = p_start + pe.len;
+    if (p_end > start) {
       // Tail beyond the carve region survives as a new extent.
-      if (prev_end > end) {
-        Extent tail;
-        tail.len = prev_end - end;
+      Extent tail;
+      if (p_end > end) {
+        tail.len = p_end - end;
         tail.is_pattern = pe.is_pattern;
         tail.seed = pe.seed;
-        if (!pe.is_pattern) tail.bytes = slice(pe.bytes, end - prev->first, tail.len);
-        it = extents_.emplace_hint(it, end, std::move(tail));
+        if (!pe.is_pattern) tail.bytes = slice(pe.bytes, end - p_start, tail.len);
       }
       // Head before the carve region survives, trimmed.
-      total_bytes_ -= std::min(prev_end, end) - start;
-      pe.len = start - prev->first;
+      total_bytes_ -= std::min(p_end, end) - start;
+      pe.len = start - p_start;
       pe.tag_valid = false;
       if (!pe.is_pattern) pe.bytes.resize(pe.len);
+      // The predecessor spanned the whole region: nothing else starts
+      // inside it, and the tail is the first extent past it.
+      if (tail.len > 0) return insert(it, end, std::move(tail));
     }
   }
 
   // Remove/trim extents starting inside the carve region.
-  while (it != extents_.end() && it->first < end) {
-    const uint64_t e_end = it->first + it->second.len;
-    if (e_end <= end) {
-      total_bytes_ -= it->second.len;
-      it = extents_.erase(it);
-    } else {
-      // Keep the tail that sticks out.
-      Extent tail;
-      tail.len = e_end - end;
-      tail.is_pattern = it->second.is_pattern;
-      tail.seed = it->second.seed;
-      if (!tail.is_pattern) {
-        tail.bytes = slice(it->second.bytes, end - it->first, tail.len);
-      }
-      total_bytes_ -= end - it->first;
-      it = extents_.erase(it);
-      it = extents_.emplace_hint(it, end, std::move(tail));
-      break;
+  while (it != end_pos() && start_of(it) < end) {
+    Extent& e = at(it);
+    const uint64_t e_start = start_of(it);
+    if (e_start + e.len <= end) {
+      total_bytes_ -= e.len;
+      it = erase(it);
+      continue;
     }
+    // The tail that sticks out keeps its slot, re-keyed to `end`.
+    const uint64_t cut = end - e_start;
+    total_bytes_ -= cut;
+    e.len -= cut;
+    e.tag_valid = false;
+    if (!e.is_pattern) {
+      e.bytes.erase(e.bytes.begin(),
+                    e.bytes.begin() + static_cast<ptrdiff_t>(cut));
+    }
+    rekey(it, end);
+    break;
   }
   // `it` is the first extent at or past `end` — nothing remains in
-  // [start, end), so it doubles as the hint for inserting at `start`.
+  // [start, end), so a new extent at `start` goes right before it.
   return it;
 }
 
@@ -95,43 +178,40 @@ bool PayloadStore::mergeable(uint64_t a_start, const Extent& a,
          a_start + a.len == b_start;
 }
 
-void PayloadStore::insert_extent(ExtentMap::iterator hint, uint64_t start,
-                                 Extent e) {
-  const size_t before = extents_.size();
+void PayloadStore::insert_extent(Pos pos, uint64_t start, Extent e) {
   total_bytes_ += e.len;
-  auto it = extents_.emplace_hint(hint, start, std::move(e));
-  NVMECR_CHECK(extents_.size() == before + 1);
-  // Merge with successor.
-  auto next = std::next(it);
-  if (next != extents_.end() &&
-      mergeable(it->first, it->second, next->first, next->second)) {
-    it->second.len += next->second.len;
-    it->second.tag_valid = false;
-    extents_.erase(next);
+  // Merge into the predecessor in place when it continues the pattern
+  // (the sequential-stream case), else insert.
+  Pos it;
+  if (pos != first_pos() && mergeable(start_of(prev(pos)), at(prev(pos)),
+                                      start, e)) {
+    it = prev(pos);
+    at(it).len += e.len;
+    at(it).tag_valid = false;
+  } else {
+    it = insert(pos, start, std::move(e));
   }
-  // Merge with predecessor.
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (mergeable(prev->first, prev->second, it->first, it->second)) {
-      prev->second.len += it->second.len;
-      prev->second.tag_valid = false;
-      extents_.erase(it);
-    }
+  // Merge with the successor.
+  const Pos nx = next(it);
+  if (nx != end_pos() && mergeable(start_of(it), at(it), start_of(nx), at(nx))) {
+    at(it).len += at(nx).len;
+    at(it).tag_valid = false;
+    erase(nx);
   }
 }
 
 void PayloadStore::write_bytes(uint64_t offset,
                                std::span<const std::byte> data) {
   if (data.empty()) return;
-  // Appends past the last extent cannot overlap anything: skip the carve
-  // and hand the map an end() hint (amortized O(1) insertion).
-  auto hint = append_past_end(offset) ? extents_.end()
-                                      : carve(offset, data.size());
+  // Appends past the last extent cannot overlap anything: skip the carve.
+  const Pos pos = append_past_end(offset)
+                      ? end_pos()
+                      : carve(lower_bound(offset), offset, data.size());
   Extent e;
   e.len = data.size();
   e.is_pattern = false;
   e.bytes.assign(data.begin(), data.end());
-  insert_extent(hint, offset, std::move(e));
+  insert_extent(pos, offset, std::move(e));
 }
 
 Status PayloadStore::read_bytes(uint64_t offset,
@@ -140,23 +220,18 @@ Status PayloadStore::read_bytes(uint64_t offset,
   const uint64_t end = offset + out.size();
   std::memset(out.data(), 0, out.size());
 
-  auto it = extents_.lower_bound(offset);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second.len > offset) it = prev;
-  }
-  for (; it != extents_.end() && it->first < end; ++it) {
-    const uint64_t e_start = it->first;
-    const uint64_t e_end = e_start + it->second.len;
+  for (Pos it = first_overlapping(offset);
+       it != end_pos() && start_of(it) < end; it = next(it)) {
+    const Extent& e = at(it);
+    const uint64_t e_start = start_of(it);
     const uint64_t copy_start = std::max(e_start, offset);
-    const uint64_t copy_end = std::min(e_end, end);
-    if (copy_start >= copy_end) continue;
-    if (it->second.is_pattern) {
+    const uint64_t copy_end = std::min(e_start + e.len, end);
+    if (e.is_pattern) {
       return CorruptionError(
           "read_bytes over pattern extent (tagged payload read as bytes)");
     }
     std::memcpy(out.data() + (copy_start - offset),
-                it->second.bytes.data() + (copy_start - e_start),
+                e.bytes.data() + (copy_start - e_start),
                 copy_end - copy_start);
   }
   return OkStatus();
@@ -168,33 +243,33 @@ Status PayloadStore::write_pattern(uint64_t offset, uint64_t len,
   if (offset % block_size_ != 0 || len % block_size_ != 0) {
     return InvalidArgumentError("pattern IO must be block-aligned");
   }
-  if (append_past_end(offset)) {
-    // Sequential checkpoint streaming: extend the last extent in place
-    // when it is the same pattern, else append with an end() hint. No
-    // carve either way.
-    if (!extents_.empty()) {
-      auto& [last_start, last] = *extents_.rbegin();
-      if (last.is_pattern && last.seed == seed &&
-          last_start + last.len == offset) {
-        last.len += len;
-        last.tag_valid = false;
-        total_bytes_ += len;
-        return OkStatus();
-      }
-    }
-    Extent e;
-    e.len = len;
-    e.is_pattern = true;
-    e.seed = seed;
-    insert_extent(extents_.end(), offset, std::move(e));
-    return OkStatus();
-  }
-  auto hint = carve(offset, len);
   Extent e;
   e.len = len;
   e.is_pattern = true;
   e.seed = seed;
-  insert_extent(hint, offset, std::move(e));
+  if (append_past_end(offset)) {
+    // Sequential checkpoint streaming: no carve; insert_extent extends the
+    // last extent in place when it is the same pattern.
+    insert_extent(end_pos(), offset, std::move(e));
+    return OkStatus();
+  }
+  const Pos it = lower_bound(offset);
+  // Covered same-seed rewrite: block content is pattern(seed, absolute
+  // block index), so the covering extent already holds these bytes and
+  // tags. Nothing changes, its cached tag included. The extent that can
+  // hold `offset` is `it` if it starts there, else its predecessor.
+  Pos holder = it;
+  if (it == end_pos() || start_of(it) != offset) {
+    holder = it == first_pos() ? end_pos() : prev(it);
+  }
+  if (holder != end_pos()) {
+    const Extent& h = at(holder);
+    if (h.is_pattern && h.seed == seed &&
+        start_of(holder) + h.len >= offset + len) {
+      return OkStatus();
+    }
+  }
+  insert_extent(carve(it, offset, len), offset, std::move(e));
   return OkStatus();
 }
 
@@ -231,14 +306,10 @@ StatusOr<uint64_t> PayloadStore::read_combined_tag(uint64_t offset,
   uint64_t tag = 0;
   const uint64_t end = offset + len;
 
-  auto it = extents_.lower_bound(offset);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second.len > offset) it = prev;
-  }
-  for (; it != extents_.end() && it->first < end; ++it) {
-    const uint64_t e_start = it->first;
-    const Extent& e = it->second;
+  for (Pos it = first_overlapping(offset);
+       it != end_pos() && start_of(it) < end; it = next(it)) {
+    const uint64_t e_start = start_of(it);
+    const Extent& e = at(it);
     const uint64_t e_end = e_start + e.len;
     const uint64_t ov_start = std::max(e_start, offset);
     const uint64_t ov_end = std::min(e_end, end);

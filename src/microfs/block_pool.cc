@@ -67,6 +67,15 @@ Status BlockPool::alloc_run(std::span<uint64_t> out) {
   return OkStatus();
 }
 
+void BlockPool::undo_alloc(std::span<const uint64_t> blocks) {
+  for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
+    head_ = (head_ == 0 ? ring_.size() : head_) - 1;
+    NVMECR_CHECK(live_ < total_ && ring_[head_] == *it && is_allocated(*it));
+    allocated_[*it >> 6] &= ~(1ull << (*it & 63));
+    ++live_;
+  }
+}
+
 Status BlockPool::free_run(std::span<const uint64_t> blocks) {
   for (size_t i = 0; i < blocks.size();) {
     const uint64_t lo = blocks[i];

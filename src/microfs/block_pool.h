@@ -42,6 +42,12 @@ class BlockPool {
   /// double free); the ids before it stay freed.
   Status free_run(std::span<const uint64_t> blocks);
 
+  /// Undoes the allocation of `blocks`, which must be the ids most
+  /// recently allocated, in allocation order: they go back to the ring
+  /// head, so later allocations return the ids they would have returned
+  /// had these never been taken. Frees since then are unaffected.
+  void undo_alloc(std::span<const uint64_t> blocks);
+
   StatusOr<uint64_t> alloc() {
     uint64_t block = 0;
     NVMECR_RETURN_IF_ERROR(alloc_run({&block, 1}));

@@ -357,6 +357,60 @@ sim::Task<Status> MicroFs::append_dirent(Inode& dir, const Dirent& entry) {
   co_return OkStatus();
 }
 
+MicroFs::InsertUndo MicroFs::begin_insert(Ino parent_ino) {
+  const Inode& dir = *inodes_.get(parent_ino);
+  InsertUndo u;
+  u.parent = parent_ino;
+  u.parent_size = dir.size;
+  u.parent_content = dir.content;
+  u.parent_mapped = dir.mapped;
+  u.parent_tail.assign(dir.blocks.begin() + static_cast<ptrdiff_t>(dir.mapped),
+                       dir.blocks.end());
+  u.pool_version = pool_version_;
+  u.next_lsn = log_->next_lsn();
+  u.log_epoch = log_->epoch();
+  return u;
+}
+
+bool MicroFs::undo_insert(const InsertUndo& u, const std::string& path,
+                          Ino ino) {
+  if (log_->next_lsn() != u.next_lsn || log_->epoch() != u.log_epoch) {
+    return false;
+  }
+  paths_.erase(path);
+  if (m_bptree_ops_ != nullptr) m_bptree_ops_->add();
+  NVMECR_CHECK(inodes_.free(ino).ok());
+
+  Inode& dir = *inodes_.get(u.parent);
+  dir.size = u.parent_size;
+  dir.content = u.parent_content;
+  // The hugeblocks this op mapped are the entries past the old mapped
+  // prefix that were holes (or absent) before. ensure_blocks took them in
+  // index order, and nothing allocated since, so they are the pool's
+  // latest allocations: undoing them restores the pool exactly, and log
+  // replay, which never sees this op, allocates the same ids after it.
+  std::vector<uint64_t> mapped_here;
+  for (uint64_t i = u.parent_mapped; i < dir.blocks.size(); ++i) {
+    const uint64_t k = i - u.parent_mapped;
+    const bool had = k < u.parent_tail.size() &&
+                     u.parent_tail[k] != kInvalidBlock;
+    if (!had && dir.blocks[i] != kInvalidBlock) {
+      mapped_here.push_back(dir.blocks[i]);
+    }
+  }
+  pool_.undo_alloc(mapped_here);
+  dir.blocks.resize(u.parent_mapped);
+  dir.blocks.insert(dir.blocks.end(), u.parent_tail.begin(),
+                    u.parent_tail.end());
+  dir.mapped = u.parent_mapped;
+  pool_version_ = u.pool_version;
+  if (!mapped_here.empty() && m_pool_occupancy_ != nullptr) {
+    m_pool_occupancy_->set(engine_.now(),
+                           static_cast<double>(pool_.allocated_count()));
+  }
+  return true;
+}
+
 sim::Task<StatusOr<std::vector<Dirent>>> MicroFs::read_dirfile(
     const std::string& path) {
   using Result = StatusOr<std::vector<Dirent>>;
@@ -457,6 +511,7 @@ sim::Task<Status> MicroFs::mkdir(const std::string& path, uint32_t mode) {
   if (dir->type != InodeType::kDirectory) co_return NotDirectoryError(parent);
 
   pool_version_before_op_ = pool_version_;
+  const InsertUndo undo = begin_insert(parent_ino);
   Inode& inode = inodes_.alloc(InodeType::kDirectory);
   inode.mode = mode;
   inode.uid = options_.uid;
@@ -475,11 +530,13 @@ sim::Task<Status> MicroFs::mkdir(const std::string& path, uint32_t mode) {
   // Named (not temporary) dirent: GCC 12 miscompiles temporary aggregate
   // arguments to coroutine calls inside co_await expressions.
   const Dirent entry{true, rec.name, inode.ino};
-  NVMECR_CO_RETURN_IF_ERROR(
-      co_await append_dirent(*inodes_.get(parent_ino), entry));
-  rec.psize = inodes_.get(parent_ino)->size;
-  NVMECR_CO_RETURN_IF_ERROR(co_await log_op(rec, inode));
-  co_return OkStatus();
+  Status s = co_await append_dirent(*inodes_.get(parent_ino), entry);
+  if (s.ok()) {
+    rec.psize = inodes_.get(parent_ino)->size;
+    s = co_await log_op(rec, inode);
+  }
+  if (!s.ok()) undo_insert(undo, path, rec.ino);
+  co_return s;
 }
 
 sim::Task<StatusOr<int>> MicroFs::open(const std::string& path,
@@ -502,6 +559,7 @@ sim::Task<StatusOr<int>> MicroFs::open(const std::string& path,
       co_return Result(NotDirectoryError(parent));
     }
 
+    const InsertUndo undo = begin_insert(parent_ino);
     Inode& inode = inodes_.alloc(InodeType::kFile);
     inode.mode = mode;
     inode.uid = options_.uid;
@@ -520,10 +578,15 @@ sim::Task<StatusOr<int>> MicroFs::open(const std::string& path,
     rec.name = basename_of(path);
     // Dirent (data) before record (commit) — see mkdir.
     const Dirent entry{true, rec.name, ino};
-    NVMECR_CO_RETURN_IF_ERROR(
-        co_await append_dirent(*inodes_.get(parent_ino), entry));
-    rec.psize = inodes_.get(parent_ino)->size;
-    NVMECR_CO_RETURN_IF_ERROR(co_await log_op(rec, inode));
+    Status s = co_await append_dirent(*inodes_.get(parent_ino), entry);
+    if (s.ok()) {
+      rec.psize = inodes_.get(parent_ino)->size;
+      s = co_await log_op(rec, inode);
+    }
+    if (!s.ok()) {
+      if (undo_insert(undo, path, ino)) --stats_.creates;
+      co_return Result(s);
+    }
   } else {
     ino = *existing;
     Inode* inode = inodes_.get(ino);

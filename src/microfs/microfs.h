@@ -305,6 +305,27 @@ class MicroFs {
   /// Appends a dirent to the parent directory's device-resident file.
   sim::Task<Status> append_dirent(Inode& dir, const Dirent& entry);
 
+  /// What a create or mkdir restores when it fails before its log record
+  /// is taken: the parent directory's size, content kind and block map,
+  /// the pool's coalescing version, and the log position that tells
+  /// whether the record (or a state snapshot holding the insert) exists.
+  struct InsertUndo {
+    Ino parent = kInvalidIno;
+    uint64_t parent_size = 0;
+    ContentKind parent_content = ContentKind::kNone;
+    uint64_t parent_mapped = 0;
+    std::vector<uint64_t> parent_tail;  // parent blocks[mapped, end)
+    uint64_t pool_version = 0;
+    uint64_t next_lsn = 0;
+    uint32_t log_epoch = 0;
+  };
+  InsertUndo begin_insert(Ino parent_ino);
+  /// Rolls back a failed create/mkdir of `path` (inode `ino`) if neither
+  /// its log record nor a state snapshot taken since recorded it; returns
+  /// whether it did. Otherwise the insert stands: the log keeps the
+  /// record dirty and a later flush makes it durable.
+  bool undo_insert(const InsertUndo& undo, const std::string& path, Ino ino);
+
   /// Logs a metadata op (or writes back the full inode when provenance
   /// is off); retries once after a forced state checkpoint if the log is
   /// full.

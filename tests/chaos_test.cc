@@ -3,12 +3,14 @@
 // failures, serialization round-trips byte-identically, ddmin shrinks
 // to a locally minimal subset against a synthetic oracle, the
 // Young/Daly formulas match hand-computed values, fsck_all is clean on
-// a healthy run, and a small pinned-seed campaign upholds the survival
+// a healthy run and after a create that a link-down window failed, and
+// a small pinned-seed campaign upholds the survival
 // trichotomy with deterministic outcomes across two sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -251,6 +253,51 @@ TEST(FsckAllTest, HealthyRunIsClean) {
   auto issues = cluster.engine().run_task(sys.fsck_all());
   ASSERT_TRUE(issues.ok()) << issues.status().to_string();
   EXPECT_TRUE(issues->empty());
+}
+
+// A create whose dirent write times out must leave no trace. If the root
+// directory kept the path and the hugeblock the failed append mapped,
+// the retried create would succeed and fsck would report "missing dirent
+// for 'x'" and "inode 1: 1 blocks cover size 0".
+TEST(FsckAllTest, CreateFailedByLinkDownRollsBack) {
+  nvmecr_rt::Cluster cluster;
+  nvmecr_rt::Scheduler sched(cluster);
+  auto job = sched.allocate(1, 1, 64_MiB, 1);
+  ASSERT_TRUE(job.ok());
+  nvmecr_rt::RuntimeConfig config;
+  ASSERT_TRUE(config.private_namespace);
+  nvmecr_rt::NvmecrSystem sys(cluster, *job, config);
+  const fabric::NodeId node = job->rank_nodes[0];
+
+  // The session outlives the task: fsck_all checks live clients only.
+  std::unique_ptr<baselines::StorageClient> client;
+  cluster.engine().run_task(
+      [](nvmecr_rt::Cluster& c, nvmecr_rt::NvmecrSystem& s, fabric::NodeId n,
+         std::unique_ptr<baselines::StorageClient>& out) -> sim::Task<void> {
+        auto session = co_await s.connect(0);
+        EXPECT_TRUE(session.ok()) << session.status().to_string();
+        if (!session.ok()) co_return;
+        out = std::move(*session);
+        baselines::StorageClient& cl = *out;
+        const SimTime t0 = c.engine().now();
+        const SimTime up = t0 + 2 * kMillisecond;
+        c.network().add_link_down(n, t0, up);
+        auto failed = co_await cl.create("/x");
+        EXPECT_EQ(failed.status().code(), ErrorCode::kTimedOut)
+            << failed.status().to_string();
+        co_await c.engine().sleep_until(std::max(up, c.engine().now()));
+        auto fd = co_await cl.create("/x");
+        EXPECT_TRUE(fd.ok()) << fd.status().to_string();
+        if (!fd.ok()) co_return;
+        EXPECT_TRUE((co_await cl.write(*fd, 64_KiB)).ok());
+        EXPECT_TRUE((co_await cl.close(*fd)).ok());
+      }(cluster, sys, node, client));
+
+  ASSERT_NE(client, nullptr);
+  EXPECT_EQ(sys.live_clients(), 1u);
+  auto issues = cluster.engine().run_task(sys.fsck_all());
+  ASSERT_TRUE(issues.ok()) << issues.status().to_string();
+  for (const std::string& issue : *issues) ADD_FAILURE() << issue;
 }
 
 // ---------------------------------------------------------------------------

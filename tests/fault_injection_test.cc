@@ -183,6 +183,52 @@ TEST(FaultInjectionTest, MultiErrorBurstFailsEachOpThenDrains) {
   EXPECT_EQ(fs->stat("/a")->size, 256_KiB);
 }
 
+// A mkdir or create whose dirent write fails is rolled back whole: the
+// path, the inode, the parent's size and the hugeblock its append
+// mapped. The block goes back to the pool head, so the retries and the
+// later writes allocate exactly what log replay (which never sees the
+// failed ops) allocates: the recovered filesystem matches and is clean.
+TEST(FaultInjectionTest, FailedMkdirAndCreateRollBack) {
+  SsdFsFixture f;
+  auto fs = f.format();
+  const uint64_t free_before = fs->free_blocks();
+  f.eng.run_task([](SsdFsFixture& fx, microfs::MicroFs& m,
+                    uint64_t free0) -> sim::Task<void> {
+    fx.ssd.inject_io_errors(1);
+    EXPECT_EQ((co_await m.mkdir("/d")).code(), ErrorCode::kIoError);
+    EXPECT_EQ(m.stat("/d").status().code(), ErrorCode::kNotFound);
+    EXPECT_EQ(m.stat("/")->size, 0u);
+    EXPECT_EQ(m.free_blocks(), free0);
+    EXPECT_TRUE((co_await m.mkdir("/d")).ok());
+
+    fx.ssd.inject_io_errors(1);
+    EXPECT_EQ((co_await m.creat("/d/f")).status().code(),
+              ErrorCode::kIoError);
+    EXPECT_EQ(m.stat("/d/f").status().code(), ErrorCode::kNotFound);
+    EXPECT_EQ(m.stat("/d")->size, 0u);
+    auto fd = co_await m.creat("/d/f");
+    EXPECT_TRUE(fd.ok());
+    if (!fd.ok()) co_return;
+    EXPECT_TRUE((co_await m.write_tagged(*fd, 96_KiB)).ok());
+    EXPECT_TRUE((co_await m.close(*fd)).ok());
+    auto report = co_await m.fsck();
+    EXPECT_TRUE(report.ok() && report->clean())
+        << (report.ok() ? report->to_string() : report.status().to_string());
+  }(f, *fs, free_before));
+  const uint64_t free_after = fs->free_blocks();
+  fs.reset();
+
+  auto rec = f.eng.run_task(microfs::MicroFs::recover(f.eng, *f.dev, {}));
+  ASSERT_TRUE(rec.ok()) << rec.status().to_string();
+  EXPECT_EQ((*rec)->free_blocks(), free_after);
+  f.eng.run_task([](microfs::MicroFs& m) -> sim::Task<void> {
+    EXPECT_TRUE((co_await m.verify_tagged("/d/f")).ok());
+    auto report = co_await m.fsck();
+    EXPECT_TRUE(report.ok() && report->clean())
+        << (report.ok() ? report->to_string() : report.status().to_string());
+  }(**rec));
+}
+
 TEST(FaultInjectionTest, GroupCommitDrainErrorRetainsDirtySlots) {
   SsdFsFixture f;
   microfs::Options options;

@@ -3,6 +3,7 @@
 // and PartitionView.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -177,14 +178,40 @@ TEST(PayloadStorePropertyTest, RandomPatternsMatchBlockModel) {
 // whole-extent tag cache and its invalidation), validating
 // bytes_stored() and combined tags against a naive per-block reference
 // at every step.
-TEST(PayloadStorePropertyTest, FragmentationChurnMatchesNaiveReference) {
-  constexpr uint32_t kBs = 4096;
-  constexpr uint64_t kBlocks = 256;
+/// Random overwrite churn over `blocks` blocks of `bs` bytes against a
+/// per-block reference model. After every step it checks the combined
+/// tag and read_bytes content of the touched range, bytes_stored() and
+/// extent_count(). `max_write` bounds ordinary writes (0: up to the end
+/// of the device); one step in `big_every` writes up to `big_write`
+/// blocks at once. Reports the largest extent count seen and the largest
+/// drop of the count in one step in `res`.
+struct ChurnShape {
+  uint32_t bs = 4096;
+  uint64_t blocks = 256;
+  int iters = 2000;
+  uint64_t max_write = 0;
+  uint64_t big_every = 0;
+  uint64_t big_write = 0;
+  uint64_t rng_seed = 20260807;
+};
+
+struct ChurnResult {
+  size_t peak_extents = 0;
+  size_t largest_drop = 0;
+};
+
+void run_fragmentation_churn(const ChurnShape& shape, ChurnResult& res) {
+  const uint32_t kBs = shape.bs;
+  const uint64_t kBlocks = shape.blocks;
   PayloadStore store(kBs);
   // Per-block reference: 0 = unwritten, positive = pattern seed,
-  // negative = byte block filled with -(value).
+  // negative = byte block filled with -(value). `write_id` names the
+  // byte write a byte block came from: one write is one extent, and the
+  // pieces an overwrite leaves of it are never adjacent.
   std::vector<int64_t> ref(kBlocks, 0);
-  Rng rng(20260807);
+  std::vector<uint64_t> write_id(kBlocks, 0);
+  uint64_t next_write_id = 1;
+  Rng rng(shape.rng_seed);
 
   auto ref_block_tag = [&](uint64_t b) -> uint64_t {
     if (ref[b] == 0) return 0;
@@ -195,10 +222,50 @@ TEST(PayloadStorePropertyTest, FragmentationChurnMatchesNaiveReference) {
     const std::vector<std::byte> content = make_bytes(kBs, fill);
     return fnv1a(content.data(), content.size());
   };
+  // Blocks a and a+1 lie in one extent: the same pattern seed (adjacent
+  // same-seed extents always merge) or the same byte write.
+  auto same_extent = [&](uint64_t a) {
+    if (ref[a] == 0 || ref[a + 1] == 0) return false;
+    if (ref[a] > 0) return ref[a] == ref[a + 1];
+    return ref[a + 1] < 0 && write_id[a] == write_id[a + 1];
+  };
+  auto check_range = [&](uint64_t b0, uint64_t nb) {
+    uint64_t expect = 0;
+    bool any_pattern = false;
+    for (uint64_t b = b0; b < b0 + nb; ++b) {
+      expect += ref_block_tag(b);
+      any_pattern |= ref[b] > 0;
+    }
+    auto tag = store.read_combined_tag(b0 * kBs, nb * kBs);
+    ASSERT_TRUE(tag.ok());
+    ASSERT_EQ(*tag, expect);
+    std::vector<std::byte> got(nb * kBs);
+    Status s = store.read_bytes(b0 * kBs, got);
+    if (any_pattern) {
+      ASSERT_EQ(s.code(), ErrorCode::kCorruption);
+      return;
+    }
+    ASSERT_TRUE(s.ok());
+    for (uint64_t b = b0; b < b0 + nb; ++b) {
+      const auto fill = static_cast<unsigned char>(ref[b] < 0 ? -ref[b] : 0);
+      const auto block = got.begin() + static_cast<ptrdiff_t>((b - b0) * kBs);
+      ASSERT_TRUE(std::all_of(block, block + kBs,
+                              [&](std::byte x) { return x == std::byte{fill}; }))
+          << "block " << b;
+    }
+  };
 
-  for (int iter = 0; iter < 2000; ++iter) {
+  for (int iter = 0; iter < shape.iters; ++iter) {
+    SCOPED_TRACE(::testing::Message() << "iter " << iter);
+    const size_t extents_before = store.extent_count();
     const uint64_t b0 = rng.uniform(kBlocks);
-    const uint64_t nb = 1 + rng.uniform(kBlocks - b0);
+    uint64_t span = kBlocks - b0;
+    if (shape.big_every > 0 && rng.uniform(shape.big_every) == 0) {
+      span = std::min(span, shape.big_write);
+    } else if (shape.max_write > 0) {
+      span = std::min(span, shape.max_write);
+    }
+    const uint64_t nb = 1 + rng.uniform(span);
     const uint64_t op = rng.uniform(10);
     if (op < 6) {
       const int64_t seed = 1 + static_cast<int64_t>(rng.uniform(4));
@@ -207,31 +274,99 @@ TEST(PayloadStorePropertyTest, FragmentationChurnMatchesNaiveReference) {
     } else if (op < 9) {
       const auto fill = static_cast<unsigned char>(1 + rng.uniform(200));
       store.write_bytes(b0 * kBs, make_bytes(nb * kBs, fill));
-      for (uint64_t b = b0; b < b0 + nb; ++b) ref[b] = -int64_t{fill};
-    } else {
-      uint64_t expect = 0;
-      for (uint64_t b = b0; b < b0 + nb; ++b) expect += ref_block_tag(b);
-      auto tag = store.read_combined_tag(b0 * kBs, nb * kBs);
-      ASSERT_TRUE(tag.ok());
-      ASSERT_EQ(*tag, expect) << "iter " << iter;
+      for (uint64_t b = b0; b < b0 + nb; ++b) {
+        ref[b] = -int64_t{fill};
+        write_id[b] = next_write_id;
+      }
+      ++next_write_id;
     }
+    // op 9 writes nothing: the range check below is its read.
+    check_range(b0, nb);
+    if (::testing::Test::HasFatalFailure()) return;
+
     uint64_t written_blocks = 0;
-    for (uint64_t b = 0; b < kBlocks; ++b) written_blocks += ref[b] != 0;
-    ASSERT_EQ(store.bytes_stored(), written_blocks * kBs) << "iter " << iter;
-    ASSERT_LE(store.extent_count(), kBlocks);
+    size_t extents = 0;
+    for (uint64_t b = 0; b < kBlocks; ++b) {
+      written_blocks += ref[b] != 0;
+      extents += ref[b] != 0 && (b == 0 || !same_extent(b - 1));
+    }
+    EXPECT_EQ(store.bytes_stored(), written_blocks * kBs);
+    EXPECT_EQ(store.extent_count(), extents);
+    if (::testing::Test::HasFailure()) return;
+    res.peak_extents = std::max(res.peak_extents, extents);
+    if (extents < extents_before) {
+      res.largest_drop = std::max(res.largest_drop, extents_before - extents);
+    }
   }
   // Final whole-range sweep: cold pass fills every extent's cache, warm
   // pass must serve every extent from it with an identical result.
   uint64_t expect = 0;
   for (uint64_t b = 0; b < kBlocks; ++b) expect += ref_block_tag(b);
   auto cold = store.read_combined_tag(0, kBlocks * kBs);
-  ASSERT_TRUE(cold.ok());
+  EXPECT_TRUE(cold.ok());
+  if (!cold.ok()) return;
   EXPECT_EQ(*cold, expect);
   const uint64_t hits_before = store.tag_cache_hits();
   auto warm = store.read_combined_tag(0, kBlocks * kBs);
-  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm.ok());
+  if (!warm.ok()) return;
   EXPECT_EQ(*warm, *cold);
   EXPECT_EQ(store.tag_cache_hits() - hits_before, store.extent_count());
+}
+
+TEST(PayloadStorePropertyTest, FragmentationChurnMatchesNaiveReference) {
+  ChurnResult res;
+  run_fragmentation_churn(ChurnShape{}, res);
+}
+
+TEST(PayloadStorePropertyTest, FragmentationChurnAtScaleMatchesNaiveReference) {
+  // 4096 blocks of mostly short writes fragment the store into over a
+  // thousand extents, tens of index leaves; a rare long write then wipes
+  // out many at once. A leaf holds at most 64 extents, so a peak above
+  // 64 proves leaves split, and removing more than 65 extents in one
+  // step (consecutive in key order) proves a whole leaf emptied and was
+  // dropped. Writes starting at or before a leaf's first extent re-key,
+  // erase or prepend to it along the way.
+  ChurnShape shape;
+  shape.bs = 512;
+  shape.blocks = 4096;
+  shape.iters = 12000;
+  shape.max_write = 8;
+  shape.big_every = 400;
+  shape.big_write = 2048;
+  shape.rng_seed = 4096;
+  ChurnResult res;
+  run_fragmentation_churn(shape, res);
+  constexpr size_t kLeafCap = 64;
+  EXPECT_GT(res.peak_extents, 16 * kLeafCap);
+  EXPECT_GT(res.largest_drop, kLeafCap + 1);
+}
+
+TEST(PayloadStoreTest, CoveredSameSeedRewriteKeepsCache) {
+  constexpr uint32_t kBs = 4096;
+  PayloadStore store(kBs);
+  ASSERT_TRUE(store.write_pattern(0, 64 * kBs, 9).ok());
+  auto cold = store.read_combined_tag(0, 64 * kBs);  // fills the cache
+  ASSERT_TRUE(cold.ok());
+  ASSERT_EQ(store.tag_cache_fills(), 1u);
+
+  // A hugeblock-style rewrite inside the extent with the same seed leaves
+  // every block's content pattern(9, block) as it was.
+  ASSERT_TRUE(store.write_pattern(8 * kBs, 8 * kBs, 9).ok());
+  EXPECT_EQ(store.extent_count(), 1u);
+  EXPECT_EQ(store.bytes_stored(), 64ull * kBs);
+  auto warm = store.read_combined_tag(0, 64 * kBs);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(*warm, *cold);
+  EXPECT_EQ(store.tag_cache_hits(), 1u);
+  EXPECT_EQ(store.tag_cache_fills(), 1u);
+
+  // A different seed, or a range past the extent's end, still rewrites.
+  ASSERT_TRUE(store.write_pattern(8 * kBs, 8 * kBs, 10).ok());
+  EXPECT_EQ(store.extent_count(), 3u);
+  ASSERT_TRUE(store.write_pattern(60 * kBs, 8 * kBs, 9).ok());
+  EXPECT_EQ(store.extent_count(), 3u);
+  EXPECT_EQ(store.bytes_stored(), 68ull * kBs);
 }
 
 TEST(PayloadStoreTest, TagCacheHitsAndInvalidation) {
