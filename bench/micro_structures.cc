@@ -164,11 +164,9 @@ sim::Task<void> near_timer(sim::Engine& eng, uint32_t id, uint32_t hops) {
 }
 
 void BM_SchedulerNearTimer(benchmark::State& state) {
-  const bool calendar = state.range(0) != 0;
   uint64_t events = 0;
   for (auto _ : state) {
     sim::Engine eng;
-    eng.set_calendar_enabled(calendar);
     for (uint32_t id = 0; id < 256; ++id) {
       eng.spawn(near_timer(eng, id, 128));
     }
@@ -176,20 +174,16 @@ void BM_SchedulerNearTimer(benchmark::State& state) {
     events += eng.events_dispatched();
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.SetLabel(calendar ? "calendar" : "heap-only");
 }
-BENCHMARK(BM_SchedulerNearTimer)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SchedulerNearTimer)->Unit(benchmark::kMillisecond);
 
 void BM_SchedulerFarFuture(benchmark::State& state) {
   // Worst case for the calendar tier: far-future-skewed timers that
-  // mostly bypass the buckets. Arg(1) vs Arg(0) shows what the calendar
-  // costs (or saves) when it cannot absorb the load — the honest
-  // counterpart to the near-timer-heavy e2e numbers in perf_suite.
-  const bool calendar = state.range(0) != 0;
+  // mostly bypass the buckets, so window rotation does the work — the
+  // honest counterpart to the near-timer-heavy e2e numbers in perf_suite.
   uint64_t events = 0;
   for (auto _ : state) {
     sim::Engine eng;
-    eng.set_calendar_enabled(calendar);
     for (uint32_t id = 0; id < 64; ++id) {
       eng.spawn(far_future_timer(eng, id, 128));
     }
@@ -197,9 +191,8 @@ void BM_SchedulerFarFuture(benchmark::State& state) {
     events += eng.events_dispatched();
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.SetLabel(calendar ? "calendar" : "heap-only");
 }
-BENCHMARK(BM_SchedulerFarFuture)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SchedulerFarFuture)->Unit(benchmark::kMillisecond);
 
 void BM_OpLogAppend(benchmark::State& state) {
   const bool coalesce = state.range(0) != 0;

@@ -7,8 +7,8 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 # Wall-clock perf smoke + regression gate (DESIGN.md §11). Quick mode
-# keeps it CI-sized; the gate compares machine-independent speedup
-# ratios against bench/perf_baseline.json and fails on >25% regression.
+# keeps it CI-sized; the gate checks machine-independent ratios,
+# fractions and overhead bounds against bench/perf_baseline.json.
 ./build/bench/perf_suite --quick --out build/BENCH_PERF.json \
   --check bench/perf_baseline.json
 for b in build/bench/*; do

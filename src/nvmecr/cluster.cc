@@ -86,8 +86,6 @@ void Cluster::export_run_metrics() {
   };
   push("engine.events_dispatched", engine_.events_dispatched(),
        exported_events_dispatched_);
-  push("engine.now_ring_hits", engine_.now_ring_hits(),
-       exported_now_ring_hits_);
   push("engine.calendar_hits", engine_.calendar_hits(),
        exported_calendar_hits_);
   // Frame-pool counters are process-wide (simcore/task.h), not per

@@ -91,7 +91,7 @@ class Cluster {
   const obs::Observer& observer() const { return observer_; }
 
   /// Copies the host-performance counters that live outside the obs layer
-  /// — the engine's dispatch/now-ring counts (simcore cannot depend on
+  /// — the engine's dispatch/calendar counts (simcore cannot depend on
   /// obs) and the payload stores' tag-cache hits — into the installed
   /// metrics registry (`engine.*`, `payload.*`). Drivers call this after
   /// a run; per-counter deltas make repeated calls safe. No-op without an
@@ -111,7 +111,6 @@ class Cluster {
   obs::Observer observer_;
   // Last values pushed by export_run_metrics().
   uint64_t exported_events_dispatched_ = 0;
-  uint64_t exported_now_ring_hits_ = 0;
   uint64_t exported_calendar_hits_ = 0;
   uint64_t exported_frames_allocated_ = 0;
   uint64_t exported_frames_recycled_ = 0;

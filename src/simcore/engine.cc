@@ -88,36 +88,11 @@ Engine::Item Engine::heap_pop() {
   return top;
 }
 
-void Engine::ring_push(Ready r) {
-  if (ring_size_ == ring_.size()) ring_grow();
-  ring_[(ring_head_ + ring_size_) & (ring_.size() - 1)] = r;
-  ++ring_size_;
-}
-
-void Engine::ring_grow() {
-  // Double the power-of-two storage, unrolling the wrapped contents into
-  // the front of the new buffer.
-  std::vector<Ready> bigger(ring_.size() * 2);
-  for (size_t i = 0; i < ring_size_; ++i) {
-    bigger[i] = ring_[(ring_head_ + i) & (ring_.size() - 1)];
-  }
-  ring_ = std::move(bigger);
-  ring_head_ = 0;
-}
-
 void Engine::cal_insert_sorted(Item item) {
-  // A late arrival whose bucket is at or behind the drain bucket: its
-  // dispatch slot is inside (or before) the buffer being drained. Keep
-  // the buffer sorted by inserting behind the cursor; already-dispatched
-  // entries (before cal_pos_) all have smaller (time, seq).
-  ++cal_count_;
-  // Chained short sleeps (a resumption re-arming within the drain
-  // bucket) carry a fresh seq and usually the latest time too, so the
-  // common case is an append — skip the search and the memmove.
-  if (cal_cur_.empty() || !item.earlier_than(cal_cur_.back())) {
-    cal_cur_.push_back(item);
-    return;
-  }
+  // A late arrival that sorts before the drain buffer's last entry: its
+  // dispatch slot is inside the buffer being drained. Keep the buffer
+  // sorted by inserting behind the cursor; already-dispatched entries
+  // (before cal_pos_) all have smaller (time, seq).
   auto it = std::lower_bound(
       cal_cur_.begin() + static_cast<ptrdiff_t>(cal_pos_), cal_cur_.end(),
       item,
@@ -199,17 +174,15 @@ uint16_t Engine::profile_tag(const char* name) {
   return profiler_ ? profiler_->intern(name) : 0;
 }
 
-inline void Engine::dispatch(SimTime t, uint64_t seq,
-                             std::coroutine_handle<> h, uint32_t ctx,
-                             bool from_ring) {
+inline void Engine::dispatch(const Item& item) {
   ++events_dispatched_;
   // Restore the context captured at schedule time: while this resumption
   // runs (and in anything it schedules), the profile scopes that were
   // live when it was scheduled are in effect again.
-  profile_ctx_ = ctx;
-  if (profiler_) profiler_->begin_event(ctx, from_ring);
-  if (dispatch_probe_) dispatch_probe_(t, seq);
-  if (!h.done()) h.resume();
+  profile_ctx_ = item.ctx;
+  if (profiler_) profiler_->begin_event(item.ctx);
+  if (dispatch_probe_) dispatch_probe_(item.time, item.seq);
+  if (!item.handle.done()) item.handle.resume();
   if (!finished_roots_.empty()) destroy_finished_roots();
 }
 
@@ -217,32 +190,21 @@ SimTime Engine::run() { return run_until(INT64_MAX); }
 
 SimTime Engine::run_until(SimTime deadline) {
   for (;;) {
-    if (ring_size_ != 0 && now_ <= deadline) {
-      // A future entry that matured to the current time was inserted
-      // before now_ advanced here, so it carries a smaller seq than
-      // every ring entry (pushed while now_ == current time) and must
-      // dispatch first to preserve global (time, seq) order.
-      const Item* f = future_front();
-      if (f != nullptr && f->time <= now_ && f->seq < ring_[ring_head_].seq) {
-        Item item = pop_future();
-        dispatch(now_, item.seq, item.handle, item.ctx, /*from_ring=*/false);
-      } else {
-        Ready r = ring_pop();
-        ++now_ring_hits_;
-        dispatch(now_, r.seq, r.handle, r.ctx, /*from_ring=*/true);
-      }
-      continue;
-    }
-    const Item* f = future_front();
-    if (f != nullptr && f->time <= deadline) {
-      Item item = pop_future();
-      if (item.time > now_) now_ = item.time;
-      dispatch(now_, item.seq, item.handle, item.ctx, /*from_ring=*/false);
-      continue;
-    }
-    break;
+    const Item* f = front();
+    if (f == nullptr || f->time > deadline) break;
+    const Item item = pop_front();
+    now_ = item.time;  // schedule_at clamps to now, so time never runs back
+    dispatch(item);
   }
   return now_;
+}
+
+size_t Engine::queue_capacity() const {
+  size_t slots = heap_.capacity() + cal_cur_.capacity();
+  for (const std::vector<Item>& bucket : cal_buckets_) {
+    slots += bucket.capacity();
+  }
+  return slots;
 }
 
 void Engine::destroy_finished_roots() {

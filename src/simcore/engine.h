@@ -10,37 +10,29 @@
 // Determinism: ties in time resume in insertion order; no wall-clock or
 // thread scheduling is involved anywhere.
 //
-// Three-tier scheduler (DESIGN.md §11):
+// Two-tier scheduler (DESIGN.md §11):
 //
-//   1. Now ring — resumptions scheduled *at the current time*
-//      (schedule_now(), yield(), zero delays, same-time wakeups from
-//      queue arbitration) go to a FIFO ring with O(1) push/pop.
-//   2. Calendar — strictly-future timestamps within a sliding window of
-//      kCalBuckets fixed-width buckets land in their bucket with an O(1)
-//      unsorted append; a bucket is sorted once when it matures and then
-//      drained as one contiguous FIFO. This is where the bulk of a real
-//      run's events live (e2e.ring_hit_frac measured 0.0023 — almost
-//      everything is a real future timestamp).
-//   3. Binary min-heap — timestamps beyond the calendar window. The
+//   1. Calendar — timestamps within a sliding window of kCalBuckets
+//      fixed-width buckets ahead of the current time land in their bucket
+//      with an O(1) unsorted append; a bucket is sorted once when it
+//      matures and then drained as one contiguous FIFO. Resumptions at
+//      the current time (schedule_now(), yield(), zero delays, same-time
+//      wakeups) land behind the drain cursor, almost always as an append
+//      at its tail. This is where nearly every event of a real run lives.
+//   2. Binary min-heap — timestamps beyond the calendar window. The
 //      window re-anchors at the current time whenever the calendar
 //      drains, pulling everything below the new window limit back down
 //      into buckets.
 //
 // The global insertion sequence keeps the dispatch order bit-identical
-// to a single (time, seq) priority queue across all three tiers:
+// to a single (time, seq) priority queue across both tiers:
 //   - heap entries are always >= the calendar window limit, which is
 //     strictly greater than every calendar timestamp, so the calendar
-//     front (when present) is the global future minimum;
+//     front (when present) is the global minimum;
 //   - within the calendar, drained items live in buckets <= the drain
 //     bucket and bucket items in buckets beyond it, so the sorted drain
 //     buffer's front is the calendar minimum; late arrivals that land at
-//     or behind the drain bucket are sorted-inserted behind the cursor;
-//   - ring entries are always newer (larger seq) than any future entry
-//     that matured to the same timestamp, and the dispatch loop drains
-//     matured future entries first.
-// set_calendar_enabled(false) collapses tiers 2–3 back into the plain
-// heap — the in-process baseline arm for perf_suite, asserted
-// schedule-identical by perf_determinism_test.
+//     or behind the drain bucket are sorted-inserted behind the cursor.
 #pragma once
 
 #include <coroutine>
@@ -61,7 +53,6 @@ class Engine {
  public:
   Engine() {
     heap_.reserve(kInitialCapacity);
-    ring_.resize(kInitialCapacity);
     cal_buckets_.resize(kCalBuckets);
   }
   ~Engine();
@@ -76,13 +67,15 @@ class Engine {
   /// profiler can attribute the resumption to the scheduling scope.
   void schedule_at(SimTime t, std::coroutine_handle<> h) {
     if (t <= now_) {
-      if (now_ring_enabled_) {
-        ring_push(Ready{seq_++, h, profile_ctx_});
-        return;
-      }
       t = now_;
+      ++now_ring_hits_;
     }
-    future_push(Item{t, seq_++, h, profile_ctx_});
+    const Item item{t, seq_++, h, profile_ctx_};
+    if (item.time < cal_limit_) {
+      cal_push(item);
+    } else {
+      heap_push(item);
+    }
   }
 
   /// Schedules `h` to resume at the current time, after already-queued
@@ -157,34 +150,17 @@ class Engine {
   // --- host-performance observability ---------------------------------
   /// Total resumptions dispatched by the run loop.
   uint64_t events_dispatched() const { return events_dispatched_; }
-  /// Dispatches served from the O(1) now ring (vs calendar/heap).
+  /// Resumptions scheduled at or before the current time (yields, zero
+  /// delays, same-time wakeups). The name is historical: crbench reports
+  /// this count as `simcore.ring_hit_frac`.
   uint64_t now_ring_hits() const { return now_ring_hits_; }
   /// Dispatches served from a matured calendar bucket (vs the heap).
   uint64_t calendar_hits() const { return calendar_hits_; }
 
-  /// Disables the now ring so every event goes through the future tiers
-  /// — the pre-two-tier dispatch path. The schedule must be
-  /// bit-identical either way; perf_suite uses this as its in-process
-  /// baseline and the determinism regression test asserts the
-  /// equivalence. Only call on a quiescent engine (empty ring).
-  void set_now_ring_enabled(bool enabled) {
-    NVMECR_CHECK(ring_size_ == 0);
-    now_ring_enabled_ = enabled;
-  }
-  bool now_ring_enabled() const { return now_ring_enabled_; }
-
-  /// Disables the calendar tier so every future event goes through the
-  /// binary heap — the pre-calendar dispatch path. Schedule-neutral by
-  /// construction (perf_determinism_test pins it); perf_suite's e2e
-  /// baseline arm runs with both this and the frame pool off. Only call
-  /// on a quiescent calendar (no calendar-resident events); toggling
-  /// resets the window so a stale limit can never misroute an insert.
-  void set_calendar_enabled(bool enabled) {
-    NVMECR_CHECK(cal_count_ == 0);
-    calendar_enabled_ = enabled;
-    cal_limit_ = 0;  // window re-engages on the next rotation
-  }
-  bool calendar_enabled() const { return calendar_enabled_; }
+  /// Event slots the queues hold allocated (heap, calendar buckets,
+  /// drain buffer). A long chain of same-bucket resumptions must not grow
+  /// it past a small multiple of the queued events (simcore_test).
+  size_t queue_capacity() const;
 
   /// Test hook: called once per dispatched event with (time, seq) before
   /// the resumption runs. Used by the determinism golden-trace test;
@@ -234,6 +210,8 @@ class Engine {
   static constexpr int kCalShift = 14;        // log2(bucket width in ns)
   static constexpr size_t kCalBuckets = 512;  // power of two
   static constexpr size_t kCalWords = kCalBuckets / 64;
+  // Consumed drain-buffer prefix below which pop_front() never compacts.
+  static constexpr size_t kCalCompactMin = 256;
 
   struct Item {
     SimTime time;
@@ -245,12 +223,6 @@ class Engine {
       if (time != other.time) return time < other.time;
       return seq < other.seq;
     }
-  };
-
-  struct Ready {
-    uint64_t seq;
-    std::coroutine_handle<> handle;
-    uint32_t ctx;  // profile context captured at schedule time
   };
 
   struct SleepAwaiter {
@@ -272,77 +244,67 @@ class Engine {
     done = true;
   }
 
-  // --- future tiers: calendar + intrusive binary min-heap --------------
-  /// Routes a strictly-future (or clamped-to-now, ring-disabled) event
-  /// to the calendar when it falls inside the window, else to the heap.
-  void future_push(Item item) {
-    if (calendar_enabled_ && item.time < cal_limit_) {
-      cal_push(item);
-    } else {
-      heap_push(item);
-    }
-  }
-
-  /// Earliest future event across calendar + heap, or null when none.
+  // --- calendar + intrusive binary min-heap ---------------------------
+  /// Earliest queued event across calendar + heap, or null when none.
   /// Matures calendar buckets / rotates the window as a side effect, so
-  /// call it immediately before pop_future().
-  const Item* future_front() {
-    if (calendar_enabled_) {
+  /// call it immediately before pop_front().
+  const Item* front() {
+    if (cal_pos_ != cal_cur_.size()) return &cal_cur_[cal_pos_];
+    if (cal_count_ != 0 || !heap_.empty()) {
+      cal_settle();
       if (cal_pos_ != cal_cur_.size()) return &cal_cur_[cal_pos_];
-      if (cal_count_ != 0 || !heap_.empty()) {
-        cal_settle();
-        if (cal_pos_ != cal_cur_.size()) return &cal_cur_[cal_pos_];
-      }
     }
     return heap_.empty() ? nullptr : &heap_.front();
   }
 
-  /// Pops the event future_front() just returned.
-  Item pop_future() {
-    if (calendar_enabled_ && cal_pos_ != cal_cur_.size()) {
-      ++calendar_hits_;
-      --cal_count_;
-      return cal_cur_[cal_pos_++];
+  /// Pops the event front() just returned. Erases the drain buffer's
+  /// consumed prefix once it is half the buffer: a chain of same-bucket
+  /// resumptions keeps appending behind the cursor and would otherwise
+  /// never let the buffer empty. Each erase moves fewer live entries than
+  /// were popped since the last one, so it is amortized O(1).
+  Item pop_front() {
+    if (cal_pos_ == cal_cur_.size()) return heap_pop();
+    ++calendar_hits_;
+    --cal_count_;
+    const Item item = cal_cur_[cal_pos_++];
+    if (cal_pos_ >= kCalCompactMin && 2 * cal_pos_ >= cal_cur_.size()) {
+      cal_cur_.erase(cal_cur_.begin(),
+                     cal_cur_.begin() + static_cast<ptrdiff_t>(cal_pos_));
+      cal_pos_ = 0;
     }
-    return heap_pop();
+    return item;
   }
 
   void cal_push(Item item) {
+    ++cal_count_;
     const int64_t b = item.time >> kCalShift;
     if (b > cal_cur_bucket_) {
       const size_t slot = static_cast<size_t>(b) & (kCalBuckets - 1);
       cal_buckets_[slot].push_back(item);
       cal_bitmap_[slot >> 6] |= 1ull << (slot & 63);
-      ++cal_count_;
-      return;
+    } else if (cal_cur_.empty() || !item.earlier_than(cal_cur_.back())) {
+      // At/behind the drain bucket and not before its last entry: same-
+      // time resumptions and chained short sleeps carry a fresh seq and
+      // usually the latest time, so they append to the drain buffer.
+      cal_cur_.push_back(item);
+    } else {
+      cal_insert_sorted(item);
     }
-    cal_insert_sorted(item);  // lands at/behind the drain cursor (rare)
   }
 
   void cal_settle();             // refill cal_cur_ from buckets / heap
   void cal_mature_next();        // sort the next occupied bucket into cal_cur_
   void cal_rotate();             // re-window onto the current time
-  void cal_insert_sorted(Item item);
+  void cal_insert_sorted(Item item);  // out-of-order late arrival
 
   // (std::priority_queue hides its container, which prevents reserving
   // and costs an extra indirection on the hottest host path.)
   void heap_push(Item item);
   Item heap_pop();
 
-  // --- growable circular FIFO for same-time resumptions ----------------
-  void ring_push(Ready r);
-  Ready ring_pop() {
-    Ready r = ring_[ring_head_];
-    ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
-    --ring_size_;
-    return r;
-  }
-  void ring_grow();
-
   /// Defined in engine.cc (needs the complete DispatchProfiler type);
   /// still inlined into the run loop, its only caller.
-  void dispatch(SimTime t, uint64_t seq, std::coroutine_handle<> h,
-                uint32_t ctx, bool from_ring);
+  void dispatch(const Item& item);
 
   /// Destroys root frames reported by on_root_finished() (parked at
   /// final_suspend) and drops them from the live-root registry. Called
@@ -352,9 +314,6 @@ class Engine {
   [[noreturn]] void die_deadlocked(const char* where) const;
 
   std::vector<Item> heap_;          // binary min-heap, beyond the window
-  std::vector<Ready> ring_;         // power-of-two circular buffer
-  size_t ring_head_ = 0;
-  size_t ring_size_ = 0;
   std::vector<std::coroutine_handle<>> pending_destroy_;  // live root frames
   std::vector<std::coroutine_handle<>> finished_roots_;
   // Calendar state. cal_cur_ is the sorted drain buffer for the bucket
@@ -373,8 +332,6 @@ class Engine {
   SimTime now_ = 0;
   uint64_t seq_ = 0;
   int live_roots_ = 0;
-  bool now_ring_enabled_ = true;
-  bool calendar_enabled_ = true;
   uint64_t events_dispatched_ = 0;
   uint64_t now_ring_hits_ = 0;
   uint64_t calendar_hits_ = 0;

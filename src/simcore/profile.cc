@@ -46,7 +46,6 @@ std::vector<DispatchProfiler::CostCenter> DispatchProfiler::ranked() const {
     c.name = tag == 0 ? "(untagged)" : names_[tag - 1];
     c.wall_ns = b.wall_ns;
     c.dispatches = b.dispatches;
-    c.ring_hits = b.ring_hits;
     out.push_back(std::move(c));
   }
   std::sort(out.begin(), out.end(), [](const CostCenter& a,
@@ -69,12 +68,6 @@ uint64_t DispatchProfiler::total_dispatches() const {
   return t;
 }
 
-uint64_t DispatchProfiler::total_ring_hits() const {
-  uint64_t t = 0;
-  for (const Bucket& b : buckets_) t += b.ring_hits;
-  return t;
-}
-
 uint64_t DispatchProfiler::frame_allocations() const {
   return sim::frame_allocations() - frame_allocs_base_;
 }
@@ -82,39 +75,27 @@ uint64_t DispatchProfiler::frame_allocations() const {
 std::string DispatchProfiler::table(size_t top_n) const {
   const std::vector<CostCenter> rows = ranked();
   const uint64_t total_ns = total_wall_ns();
-  const uint64_t total_disp = total_dispatches();
-  const uint64_t total_ring = total_ring_hits();
 
   std::string out;
   char line[192];
-  std::snprintf(line, sizeof(line), "%-4s %-18s %12s %7s %12s %6s\n", "rank",
-                "cost center", "wall_ms", "share", "dispatches", "ring%");
+  std::snprintf(line, sizeof(line), "%-4s %-18s %12s %7s %12s\n", "rank",
+                "cost center", "wall_ms", "share", "dispatches");
   out += line;
   size_t shown = 0;
   for (const CostCenter& c : rows) {
     if (shown >= top_n) break;
     const double share =
         total_ns ? 100.0 * static_cast<double>(c.wall_ns) / total_ns : 0.0;
-    const double ringpct =
-        c.dispatches
-            ? 100.0 * static_cast<double>(c.ring_hits) / c.dispatches
-            : 0.0;
     std::snprintf(line, sizeof(line),
-                  "%3zu. %-18s %12.3f %6.1f%% %12" PRIu64 " %5.1f%%\n",
-                  shown + 1, c.name.c_str(), c.wall_ns / 1e6, share,
-                  c.dispatches, ringpct);
+                  "%3zu. %-18s %12.3f %6.1f%% %12" PRIu64 "\n", shown + 1,
+                  c.name.c_str(), c.wall_ns / 1e6, share, c.dispatches);
     out += line;
     ++shown;
   }
   std::snprintf(line, sizeof(line),
                 "total: %.3f ms over %" PRIu64
-                " dispatches (%.1f%% now-ring), %" PRIu64
-                " coroutine frames allocated\n",
-                total_ns / 1e6, total_disp,
-                total_disp ? 100.0 * static_cast<double>(total_ring) /
-                                 total_disp
-                           : 0.0,
-                frame_allocations());
+                " dispatches, %" PRIu64 " coroutine frames allocated\n",
+                total_ns / 1e6, total_dispatches(), frame_allocations());
   out += line;
   return out;
 }

@@ -53,7 +53,7 @@ class DispatchProfiler {
   /// Hot path, called by Engine::dispatch on every event: charges the
   /// wall time since the previous call to the *previous* event's tag,
   /// then opens the accounting window for this one.
-  void begin_event(uint32_t ctx, bool from_ring) {
+  void begin_event(uint32_t ctx) {
     const uint64_t now = now_ns();
     if (open_) buckets_[last_tag_].wall_ns += now - last_ns_;
     open_ = true;
@@ -61,9 +61,7 @@ class DispatchProfiler {
     uint16_t tag = static_cast<uint16_t>(ctx & profile_ctx::kTagMask);
     if (tag >= buckets_.size()) tag = 0;
     last_tag_ = tag;
-    Bucket& b = buckets_[tag];
-    ++b.dispatches;
-    b.ring_hits += from_ring ? 1 : 0;
+    ++buckets_[tag].dispatches;
   }
 
   /// Closes the open accounting window and reopens it under `ctx`'s tag
@@ -95,7 +93,6 @@ class DispatchProfiler {
     std::string name;
     uint64_t wall_ns = 0;
     uint64_t dispatches = 0;
-    uint64_t ring_hits = 0;  // dispatches served from the O(1) now ring
   };
 
   /// Cost centers sorted by wall_ns descending; zero-sample tags are
@@ -103,13 +100,12 @@ class DispatchProfiler {
   std::vector<CostCenter> ranked() const;
 
   /// Human-readable ranked table (top `top_n` rows) with wall-time
-  /// shares, dispatch counts, ring-hit fractions, and a footer with
-  /// totals and the coroutine-frame allocation delta.
+  /// shares, dispatch counts, and a footer with totals and the
+  /// coroutine-frame allocation delta.
   std::string table(size_t top_n) const;
 
   uint64_t total_wall_ns() const;
   uint64_t total_dispatches() const;
-  uint64_t total_ring_hits() const;
   /// Coroutine frames allocated since construction / reset().
   uint64_t frame_allocations() const;
 
@@ -117,7 +113,6 @@ class DispatchProfiler {
   struct Bucket {
     uint64_t wall_ns = 0;
     uint64_t dispatches = 0;
-    uint64_t ring_hits = 0;
   };
 
   static uint64_t now_ns();

@@ -403,7 +403,6 @@ TEST(DispatchProfilerTest, ChargesDispatchesToScopedCostCenters) {
     found = true;
     // 100 yields + 1 delay resume all carry the scope's tag.
     EXPECT_GE(c.dispatches, 101u);
-    EXPECT_GT(c.ring_hits, 0u);  // yields are same-time: now-ring served
   }
   EXPECT_TRUE(found);
   EXPECT_GT(prof.total_dispatches(), 0u);

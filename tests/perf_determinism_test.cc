@@ -1,8 +1,9 @@
-// Determinism regression tests for the two-tier scheduler (DESIGN.md
-// §11): the now-ring is a pure performance optimization and must never
-// change *what* the simulation computes. These tests pin that down at
-// full-system scale — a fig07-style CoMD run over the real NVMe-CR
-// stack — by fingerprinting the complete dispatch schedule. Smaller
+// Determinism regression tests for the scheduler and everything above it
+// (DESIGN.md §11): host-side work — the calendar queue, the frame pool,
+// profiling, a pass-through offload wrapper — must never change *what*
+// the simulation computes. These tests pin that down at full-system
+// scale — fig07-style CoMD runs over the real NVMe-CR stack at one and
+// two nodes — by fingerprinting the complete dispatch schedule. Smaller
 // pinned runs over the comparator stacks guard the schedule of the
 // baseline and global-namespace fabric paths.
 #include <cstdint>
@@ -46,7 +47,7 @@ struct RunFingerprint {
   bool operator==(const RunFingerprint&) const = default;
 };
 
-// Golden values for run_fingerprinted(true, 28, 2); see
+// Golden values for run_fingerprinted(28, 2); see
 // GoldenScheduleFingerprint for the update procedure.
 constexpr uint64_t kGoldenHash = 16411536983975935818ull;
 constexpr uint64_t kGoldenEvents = 71870;
@@ -72,25 +73,13 @@ void fingerprint_dispatches(sim::Engine& engine, RunFingerprint& fp) {
 
 enum class OffloadMode { kNone, kPassthrough, kAllStages };
 
-RunFingerprint run_fingerprinted(bool ring_enabled, uint32_t nranks,
-                                 uint32_t checkpoints,
+RunFingerprint run_fingerprinted(uint32_t nranks, uint32_t checkpoints,
                                  bool profiled = false,
-                                 OffloadMode offload = OffloadMode::kNone,
-                                 bool calendar_enabled = true,
-                                 bool frame_pooling = true) {
+                                 OffloadMode offload = OffloadMode::kNone) {
   ComdParams params = weak_scaling_params(nranks);
   params.checkpoints = checkpoints;
 
-  // The frame pool is process-wide; restore the default on every exit so
-  // a baseline arm can't leak its setting into the next test.
-  sim::set_frame_pooling(frame_pooling);
-  struct PoolingGuard {
-    ~PoolingGuard() { sim::set_frame_pooling(true); }
-  } pooling_guard;
-
   Cluster cluster;
-  cluster.engine().set_now_ring_enabled(ring_enabled);
-  cluster.engine().set_calendar_enabled(calendar_enabled);
   // Wall-clock profiling must be invisible to the schedule: install the
   // full profiler pair when asked, before any subsystem spins up.
   sim::DispatchProfiler prof;
@@ -134,55 +123,10 @@ RunFingerprint run_fingerprinted(bool ring_enabled, uint32_t nranks,
 }
 
 TEST(PerfDeterminismTest, RepeatedRunsAreBitIdentical) {
-  const RunFingerprint a = run_fingerprinted(true, 28, 2);
-  const RunFingerprint b = run_fingerprinted(true, 28, 2);
+  const RunFingerprint a = run_fingerprinted(28, 2);
+  const RunFingerprint b = run_fingerprinted(28, 2);
   EXPECT_EQ(a, b);
   EXPECT_GT(a.events, 0u);
-}
-
-TEST(PerfDeterminismTest, RingOnAndRingOffProduceIdenticalSchedules) {
-  // The tentpole invariant: the now-ring changes only *where* ready
-  // events wait, never the (time, seq) dispatch order — so the full
-  // event trace, final clock, and job metrics are all bit-identical.
-  const RunFingerprint on = run_fingerprinted(true, 28, 2);
-  const RunFingerprint off = run_fingerprinted(false, 28, 2);
-  EXPECT_EQ(on, off);
-}
-
-TEST(PerfDeterminismTest, RingOnAndRingOffAgreeAtTwoNodes) {
-  const RunFingerprint on = run_fingerprinted(true, 56, 2);
-  const RunFingerprint off = run_fingerprinted(false, 56, 2);
-  EXPECT_EQ(on, off);
-}
-
-TEST(PerfDeterminismTest, CalendarOnAndOffProduceIdenticalSchedules) {
-  // Same invariant for the calendar tier (DESIGN.md §11): bucketed timer
-  // maturation batches *host* work; the (time, seq) dispatch stream must
-  // not move by a single pair when the tier is bypassed entirely.
-  const RunFingerprint on = run_fingerprinted(true, 28, 2);
-  const RunFingerprint off =
-      run_fingerprinted(true, 28, 2, /*profiled=*/false, OffloadMode::kNone,
-                        /*calendar_enabled=*/false);
-  EXPECT_EQ(on, off);
-}
-
-TEST(PerfDeterminismTest, CalendarOnAndOffAgreeAtTwoNodes) {
-  const RunFingerprint on = run_fingerprinted(true, 56, 2);
-  const RunFingerprint off =
-      run_fingerprinted(true, 56, 2, /*profiled=*/false, OffloadMode::kNone,
-                        /*calendar_enabled=*/false);
-  EXPECT_EQ(on, off);
-}
-
-TEST(PerfDeterminismTest, FramePoolingDoesNotPerturbSchedule) {
-  // Pooling recycles frame storage; it can change host speed only. A run
-  // with the pool bypassed (every frame through the global allocator)
-  // must produce the identical fingerprint.
-  const RunFingerprint pooled = run_fingerprinted(true, 28, 2);
-  const RunFingerprint unpooled =
-      run_fingerprinted(true, 28, 2, /*profiled=*/false, OffloadMode::kNone,
-                        /*calendar_enabled=*/true, /*frame_pooling=*/false);
-  EXPECT_EQ(pooled, unpooled);
 }
 
 TEST(PerfDeterminismTest, RegistryPresetsReproduceLegacyIoProfiles) {
@@ -211,11 +155,27 @@ TEST(PerfDeterminismTest, GoldenScheduleFingerprint) {
   // primitives, devices, fabric) fails loudly. If a change to the
   // simulation is *intentional*, re-run this test and update the
   // constants from the failure output.
-  const RunFingerprint fp = run_fingerprinted(true, 28, 2);
+  const RunFingerprint fp = run_fingerprinted(28, 2);
   EXPECT_EQ(fp.hash, kGoldenHash) << "events=" << fp.events
                                   << " final_time=" << fp.final_time;
   EXPECT_EQ(fp.events, kGoldenEvents);
   EXPECT_EQ(fp.final_time, kGoldenFinalTime);
+}
+
+// Golden values for run_fingerprinted(56, 2), the same run on two compute
+// nodes. Recorded while same-time events still went through a separate
+// now ring; the calendar alone reproduces that schedule. Update like
+// kGoldenHash when a schedule change is intentional.
+constexpr uint64_t kTwoNodeGoldenHash = 6978589764092090839ull;
+constexpr uint64_t kTwoNodeGoldenEvents = 143746;
+constexpr SimTime kTwoNodeGoldenFinalTime = 8879634133;
+
+TEST(PerfDeterminismTest, TwoNodeScheduleIsPinned) {
+  const RunFingerprint fp = run_fingerprinted(56, 2);
+  EXPECT_EQ(fp.hash, kTwoNodeGoldenHash) << "events=" << fp.events
+                                         << " final_time=" << fp.final_time;
+  EXPECT_EQ(fp.events, kTwoNodeGoldenEvents);
+  EXPECT_EQ(fp.final_time, kTwoNodeGoldenFinalTime);
 }
 
 TEST(PerfDeterminismTest, ProfilingDoesNotPerturbSchedule) {
@@ -223,7 +183,7 @@ TEST(PerfDeterminismTest, ProfilingDoesNotPerturbSchedule) {
   // profiler-private buckets only. The golden fingerprint must not move
   // by a single (time, seq) pair.
   const RunFingerprint fp =
-      run_fingerprinted(true, 28, 2, /*profiled=*/true);
+      run_fingerprinted(28, 2, /*profiled=*/true);
   EXPECT_EQ(fp.hash, kGoldenHash);
   EXPECT_EQ(fp.events, kGoldenEvents);
   EXPECT_EQ(fp.final_time, kGoldenFinalTime);
@@ -234,7 +194,7 @@ TEST(PerfDeterminismTest, DisabledOffloadWrapperKeepsGoldenFingerprint) {
   // codec must be a pure pass-through: not one (time, seq) pair of the
   // golden schedule may move.
   const RunFingerprint fp = run_fingerprinted(
-      true, 28, 2, /*profiled=*/false, OffloadMode::kPassthrough);
+      28, 2, /*profiled=*/false, OffloadMode::kPassthrough);
   EXPECT_EQ(fp.hash, kGoldenHash) << "events=" << fp.events
                                   << " final_time=" << fp.final_time;
   EXPECT_EQ(fp.events, kGoldenEvents);
@@ -253,9 +213,9 @@ TEST(PerfDeterminismTest, OffloadEnabledScheduleIsPinned) {
   // reservations, compressed wire transfers) is itself deterministic:
   // two runs agree bit-for-bit and match the pinned constants.
   const RunFingerprint a = run_fingerprinted(
-      true, 28, 2, /*profiled=*/false, OffloadMode::kAllStages);
+      28, 2, /*profiled=*/false, OffloadMode::kAllStages);
   const RunFingerprint b = run_fingerprinted(
-      true, 28, 2, /*profiled=*/false, OffloadMode::kAllStages);
+      28, 2, /*profiled=*/false, OffloadMode::kAllStages);
   EXPECT_EQ(a, b);
   EXPECT_NE(a.hash, kGoldenHash);  // the grant genuinely changes the run
   EXPECT_EQ(a.hash, kOffloadGoldenHash) << "events=" << a.events

@@ -2,6 +2,7 @@
 // semaphores, barriers, and bandwidth resources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -474,37 +475,10 @@ TEST(TraceTest, NullCollectorIsNoop) {
 }
 
 // ---------------------------------------------------------------------
-// Two-tier scheduler (now ring + heap)
+// Scheduler: (time, seq) order across same-time and future events
 // ---------------------------------------------------------------------
 
-namespace {
-
-/// Runs a schedule that interleaves same-time yields with future delays
-/// across several tasks and records every side effect in order.
-std::vector<int> run_interleaved(bool ring_enabled) {
-  Engine eng;
-  eng.set_now_ring_enabled(ring_enabled);
-  std::vector<int> order;
-  for (int id = 0; id < 4; ++id) {
-    eng.spawn([](Engine& e, std::vector<int>& out, int id) -> Task<void> {
-      for (int i = 0; i < 3; ++i) {
-        out.push_back(id * 100 + i * 10);
-        co_await e.yield();
-        out.push_back(id * 100 + i * 10 + 1);
-        // Different per-task delays force heap/ring interleaving at the
-        // same timestamps later on.
-        co_await e.delay((id % 2 == 0) ? 5 : 10);
-      }
-      out.push_back(id * 100 + 99);
-    }(eng, order, id));
-  }
-  eng.run();
-  return order;
-}
-
-}  // namespace
-
-TEST(TwoTierSchedulerTest, SameTimeEventsRunInInsertionOrder) {
+TEST(SchedulerOrderTest, SameTimeEventsRunInInsertionOrder) {
   Engine eng;
   std::vector<int> order;
   for (int id = 0; id < 8; ++id) {
@@ -527,15 +501,15 @@ TEST(TwoTierSchedulerTest, SameTimeEventsRunInInsertionOrder) {
   EXPECT_EQ(eng.now(), 0);
 }
 
-TEST(TwoTierSchedulerTest, MaturedHeapEntryRunsBeforeNewerRingEntry) {
-  // A sleeper scheduled for t=10 (heap) was inserted before anything that
-  // will be ring-scheduled at t=10, so it must run first even though the
-  // ring is checked first in the dispatch loop.
+TEST(SchedulerOrderTest, MaturedTimerRunsBeforeNewerSameTimeEntry) {
+  // Both sleepers were scheduled for t=10 before anything is scheduled
+  // *at* t=10, so the first sleeper's yield (a newer seq at the same
+  // time) runs after the second sleeper — exactly the (time, seq) order.
   Engine eng;
   std::vector<std::string> order;
   eng.spawn([](Engine& e, std::vector<std::string>& out) -> Task<void> {
     co_await e.delay(10);
-    out.push_back("sleeper");  // heap entry, seq small
+    out.push_back("sleeper");
     co_await e.yield();
     out.push_back("sleeper-after-yield");
   }(eng, order));
@@ -545,42 +519,59 @@ TEST(TwoTierSchedulerTest, MaturedHeapEntryRunsBeforeNewerRingEntry) {
     co_return;
   }(eng, order));
   eng.run();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], "sleeper");
-  // The yield (ring, newer seq) runs after the second matured heap entry
-  // (older seq) — exactly the (time, seq) total order.
-  EXPECT_EQ(order[1], "second-sleeper");
-  EXPECT_EQ(order[2], "sleeper-after-yield");
+  const std::vector<std::string> expect = {"sleeper", "second-sleeper",
+                                           "sleeper-after-yield"};
+  EXPECT_EQ(order, expect);
 }
 
-TEST(TwoTierSchedulerTest, RingDisabledProducesIdenticalSchedule) {
-  EXPECT_EQ(run_interleaved(true), run_interleaved(false));
+TEST(SchedulerOrderTest, InterleavedYieldsAndDelaysFollowTimeSeqOrder) {
+  // Four tasks alternate yields with per-task delays (5 ns for even ids,
+  // 10 ns for odd), so same-time resumptions and matured timers meet at
+  // t = 10 and t = 20. Entry id*100 + round*10 is pushed before the
+  // yield, +1 after it, +99 at the end.
+  Engine eng;
+  std::vector<int> order;
+  for (int id = 0; id < 4; ++id) {
+    eng.spawn([](Engine& e, std::vector<int>& out, int id) -> Task<void> {
+      for (int i = 0; i < 3; ++i) {
+        out.push_back(id * 100 + i * 10);
+        co_await e.yield();
+        out.push_back(id * 100 + i * 10 + 1);
+        co_await e.delay((id % 2 == 0) ? 5 : 10);
+      }
+      out.push_back(id * 100 + 99);
+    }(eng, order, id));
+  }
+  eng.run();
+  // At each time, timers in the order they were set, then the yields
+  // those resumptions made, in the same order.
+  const std::vector<int> expect = {
+      0,   100, 200, 300, 1,   101, 201, 301,  // t=0
+      10,  210, 11,  211,                      // t=5
+      110, 310, 20,  220, 111, 311, 21,  221,  // t=10
+      99,  299,                                // t=15
+      120, 320, 121, 321,                      // t=20
+      199, 399};                               // t=30
+  EXPECT_EQ(order, expect);
+  EXPECT_EQ(eng.now(), 30);
 }
 
-TEST(TwoTierSchedulerTest, DispatchCountersTrackRingAndHeap) {
+TEST(SchedulerOrderTest, CountsSameTimeSchedules) {
   Engine eng;
   eng.run_task([](Engine& e) -> Task<void> {
     for (int i = 0; i < 10; ++i) co_await e.yield();
     co_await e.delay(5);
   }(eng));
-  // Every dispatch is counted; the 10 yields (plus spawn wakeups) hit the
-  // ring, the delay goes through the heap.
+  // The spawn wakeups and the 10 yields are scheduled at the current
+  // time; the delay is not.
   EXPECT_GT(eng.events_dispatched(), 10u);
   EXPECT_GE(eng.now_ring_hits(), 10u);
   EXPECT_LT(eng.now_ring_hits(), eng.events_dispatched());
-
-  Engine heap_only;
-  heap_only.set_now_ring_enabled(false);
-  heap_only.run_task([](Engine& e) -> Task<void> {
-    for (int i = 0; i < 10; ++i) co_await e.yield();
-  }(heap_only));
-  EXPECT_EQ(heap_only.now_ring_hits(), 0u);
-  EXPECT_GT(heap_only.events_dispatched(), 10u);
 }
 
-TEST(TwoTierSchedulerTest, RingGrowsPastInitialCapacity) {
-  // More than 256 (the initial ring capacity) simultaneous same-time
-  // wakeups force ring growth mid-run; FIFO order must survive.
+TEST(SchedulerOrderTest, ThousandSameTimeWakeupsStayFifo) {
+  // More than the 256-slot initial capacities: the drain buffer grows
+  // (and compacts) mid-run; FIFO order must survive.
   Engine eng;
   std::vector<int> order;
   for (int id = 0; id < 1000; ++id) {
@@ -594,7 +585,35 @@ TEST(TwoTierSchedulerTest, RingGrowsPastInitialCapacity) {
   for (int id = 0; id < 1000; ++id) EXPECT_EQ(order[id], id);
 }
 
-TEST(TwoTierSchedulerTest, DispatchProbeSeesMonotonicTimeSeqOrder) {
+TEST(SchedulerOrderTest, LongSubBucketChainKeepsQueueStorageBounded) {
+  // 256 tasks each chain 16k delay(1) hops: 4M resumptions inside the
+  // first 16.384 us calendar bucket, every one appended behind the drain
+  // cursor while only 256 are ever queued. The drain buffer must drop
+  // what it dispatched instead of growing with the whole chain (~128 MiB
+  // of queue entries if it never does).
+  constexpr uint32_t kTasks = 256;
+  constexpr uint32_t kHops = 16384;
+  Engine eng;
+  for (uint32_t t = 0; t < kTasks; ++t) {
+    eng.spawn([](Engine& e) -> Task<void> {
+      for (uint32_t i = 0; i < kHops; ++i) co_await e.delay(1);
+    }(eng));
+  }
+  size_t peak = 0;
+  uint64_t n = 0;
+  eng.set_dispatch_probe([&](SimTime, uint64_t) {
+    if ((++n & 1023) == 0) peak = std::max(peak, eng.queue_capacity());
+  });
+  eng.run();
+  EXPECT_EQ(eng.events_dispatched(), uint64_t{kTasks} * (kHops + 1));
+  EXPECT_EQ(eng.now(), SimTime{kHops});
+  EXPECT_GT(peak, 0u);
+  // At most 256 events are queued at once; allow 8 slots per queued
+  // event plus the initial heap reservation.
+  EXPECT_LE(peak, 8 * kTasks + 256) << "queue slots at peak";
+}
+
+TEST(SchedulerOrderTest, DispatchProbeSeesMonotonicTimeSeqOrder) {
   Engine eng;
   std::vector<std::pair<SimTime, uint64_t>> trace;
   eng.set_dispatch_probe([&trace](SimTime t, uint64_t seq) {
@@ -626,42 +645,48 @@ TEST(TwoTierSchedulerTest, DispatchProbeSeesMonotonicTimeSeqOrder) {
 
 namespace {
 
-/// Timer-heavy program spanning many calendar buckets (4096 ns each) and
-/// far past the 2048-bucket window, so it exercises bucket maturation,
-/// in-bucket sorting, late arrivals behind the drain cursor, and window
-/// rotation. Returns the observed completion order.
-std::vector<int> run_calendar_mix(bool calendar_enabled) {
-  Engine eng;
-  eng.set_calendar_enabled(calendar_enabled);
-  std::vector<int> order;
-  for (int id = 0; id < 40; ++id) {
-    eng.spawn([](Engine& e, std::vector<int>& out, int id) -> Task<void> {
-      // Deterministic per-id delays: some sub-bucket (same 4096 ns
-      // bucket), some a few buckets out, some far beyond the ~8.4 ms
-      // window so the heap tier and rotation both engage.
-      const SimDuration near = 100 + 37 * id;           // sub-bucket
-      const SimDuration mid = 5000 * (1 + id % 7);      // a few buckets
-      const SimDuration far = 20'000'000 + 9999 * id;   // past the window
-      co_await e.delay(near);
-      co_await e.delay(mid);
-      // Same-bucket re-arm: maturing this bucket schedules a new timer
-      // landing at/behind the drain cursor (cal_insert_sorted path).
-      co_await e.delay(1);
-      co_await e.delay(far);
-      out.push_back(id);
-    }(eng, order, id));
-  }
-  eng.run();
-  return order;
+/// Wake time of task `id` in the calendar mix: every delay is fixed per
+/// id, so the completion order is known without running the engine.
+constexpr SimDuration mix_near(int id) { return 100 + 37 * id; }
+constexpr SimDuration mix_mid(int id) { return 40'000 * (1 + id % 7); }
+constexpr SimDuration mix_far(int id) { return 20'000'000 + 9999 * id; }
+constexpr SimTime mix_wake_time(int id) {
+  return mix_near(id) + mix_mid(id) + 1 + mix_far(id);
 }
 
 }  // namespace
 
-TEST(CalendarSchedulerTest, CalendarOnAndOffProduceIdenticalOrder) {
-  const std::vector<int> on = run_calendar_mix(true);
-  const std::vector<int> off = run_calendar_mix(false);
-  ASSERT_EQ(on.size(), 40u);
-  EXPECT_EQ(on, off);
+TEST(CalendarSchedulerTest, TimerMixCompletesInWakeTimeOrder) {
+  // Timer-heavy program across calendar buckets (16.384 us each) and far
+  // past the 512-bucket (~8.4 ms) window, so it exercises bucket
+  // maturation, in-bucket sorting, late arrivals behind the drain
+  // cursor, and window rotation.
+  Engine eng;
+  std::vector<int> order;
+  std::vector<SimTime> finished(40);
+  for (int id = 0; id < 40; ++id) {
+    eng.spawn([](Engine& e, std::vector<int>& out, std::vector<SimTime>& at,
+                 int id) -> Task<void> {
+      co_await e.delay(mix_near(id));  // within the first bucket
+      co_await e.delay(mix_mid(id));   // 2-17 buckets out
+      // Same-bucket re-arm: maturing this bucket schedules a new timer
+      // landing at/behind the drain cursor (cal_insert_sorted path).
+      co_await e.delay(1);
+      co_await e.delay(mix_far(id));   // past the window: heap + rotation
+      out.push_back(id);
+      at[id] = e.now();
+    }(eng, order, finished, id));
+  }
+  eng.run();
+  // No two ids share a wake time, so the order is fully determined.
+  std::vector<int> expect(40);
+  for (int id = 0; id < 40; ++id) expect[id] = id;
+  std::sort(expect.begin(), expect.end(), [](int a, int b) {
+    return mix_wake_time(a) < mix_wake_time(b);
+  });
+  EXPECT_EQ(order, expect);
+  for (int id = 0; id < 40; ++id) EXPECT_EQ(finished[id], mix_wake_time(id));
+  EXPECT_GT(eng.calendar_hits(), 0u);
 }
 
 TEST(CalendarSchedulerTest, CalendarAbsorbsNearTimers) {
@@ -672,15 +697,6 @@ TEST(CalendarSchedulerTest, CalendarAbsorbsNearTimers) {
   }(eng));
   EXPECT_GT(eng.calendar_hits(), 0u);
   EXPECT_LE(eng.calendar_hits(), eng.events_dispatched());
-}
-
-TEST(CalendarSchedulerTest, DisabledCalendarCountsNoHits) {
-  Engine eng;
-  eng.set_calendar_enabled(false);
-  eng.run_task([](Engine& e) -> Task<void> {
-    for (int i = 0; i < 64; ++i) co_await e.delay(1000 + i * 333);
-  }(eng));
-  EXPECT_EQ(eng.calendar_hits(), 0u);
 }
 
 TEST(CalendarSchedulerTest, ProbeOrderHoldsAcrossWindowRotation) {
@@ -746,19 +762,26 @@ TEST(FramePoolTest, StressRecyclesFramesAndLeaksNothing) {
   EXPECT_EQ(frames_live(), live_before);
 }
 
-TEST(FramePoolTest, PoolingToggleRoutesFreesCorrectly) {
-  // Frames allocated pooled may be freed after pooling is switched off
-  // (and vice versa): the per-frame origin header routes each free.
+TEST(FramePoolTest, OversizedFramesBypassThePool) {
+  // Frames above the largest size class (2 KiB) come from the global
+  // allocator; their header routes the free back there, interleaved with
+  // pooled frames.
   const uint64_t live_before = frames_live();
   Engine eng;
-  for (int i = 0; i < 32; ++i) eng.spawn(small_frame_task(eng));
-  set_frame_pooling(false);
-  for (int i = 0; i < 32; ++i) eng.spawn(large_frame_task(eng));
+  for (int i = 0; i < 32; ++i) {
+    eng.spawn(small_frame_task(eng));
+    eng.spawn([](Engine& e) -> Task<void> {
+      std::uint64_t pad[512] = {};
+      for (int j = 0; j < 512; ++j) pad[j] = static_cast<std::uint64_t>(j);
+      co_await e.delay(3);
+      std::uint64_t sum = 0;
+      for (std::uint64_t v : pad) sum += v;
+      NVMECR_CHECK(sum == 512 * 511 / 2);
+    }(eng));
+  }
   eng.run();
-  set_frame_pooling(true);
   EXPECT_EQ(frames_live(), live_before);
 }
-
 
 // ---------------------------------------------------------------------
 // DispatchProfiler attribution across coroutine boundaries
